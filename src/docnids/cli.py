@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import data, evaluation, pipeline
-from .errors import DataError, ModelFormatError
+from .errors import DataError, ModelFormatError, TrainingDivergedError
 from .nn import Activation
 from .svdd import SvddConfig
 
@@ -23,6 +24,10 @@ EXIT_OK = 0
 EXIT_FLAG = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
+
+# Rows parsed and scored per batch by `score`. Peak memory grows with it
+# while the wall time is flat from 64 rows up.
+SCORE_CHUNK_ROWS = 64
 
 
 class CliError(Exception):
@@ -32,7 +37,11 @@ class CliError(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("DOC_SEED", "0"))
+    text = os.environ.get("DOC_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"DOC_SEED must be an integer, got {text!r}", EXIT_FLAG)
 
 
 def _parse_dims(text: str | None) -> list[int] | None:
@@ -130,6 +139,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _parse_features(rows: list[list[str]], feature_idx: list[int]) -> np.ndarray:
+    """Feature columns of the leading good rows of ``rows`` as a float
+    array; parsing stops at the first row with a missing, unparseable or
+    non-finite feature, so ``len(result) < len(rows)`` marks that row."""
+    values = []
+    for rec in rows:
+        try:
+            values.append([float(rec[i]) for i in feature_idx])
+        except (ValueError, IndexError):
+            break
+    x = np.array(values, dtype=np.float64).reshape(len(values), len(feature_idx))
+    finite = np.isfinite(x).all(axis=1)
+    return x if finite.all() else x[: int(np.argmin(finite))]
+
+
 def cmd_score(args) -> int:
     model = pipeline.load(args.model)
     drop = set(_drop_list(args))
@@ -145,13 +169,17 @@ def cmd_score(args) -> int:
         columns = [header[i] for i in feature_idx]
         pipeline.check_schema(model, columns)
         writer.writerow(header + ["score", "verdict"])
-        for rownum, rec in enumerate(reader):
-            try:
-                x = np.array([float(rec[i]) for i in feature_idx])
-            except (ValueError, IndexError):
-                raise DataError(f"{args.input}: unparseable row at index {rownum}")
-            verdict = pipeline.classify(model, x)
-            writer.writerow(rec + [repr(verdict.score), verdict.label])
+        rownum = 0
+        while chunk := list(itertools.islice(reader, SCORE_CHUNK_ROWS)):
+            x = _parse_features(chunk, feature_idx)
+            scores = pipeline.score_batch(model, x)
+            labels = pipeline.verdict_labels(model, scores)
+            writer.writerows(
+                rec + [s, label] for rec, s, label in zip(chunk, scores.tolist(), labels)
+            )
+            if len(x) < len(chunk):
+                raise DataError(f"{args.input}: unparseable row at index {rownum + len(x)}")
+            rownum += len(chunk)
     return EXIT_OK
 
 
@@ -303,12 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_FLAG if e.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return EXIT_FLAG if e.code not in (0, None) else EXIT_OK
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -322,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except TrainingDivergedError as e:
+        print(f"error: training diverged ({e}); try a lower --lr", file=sys.stderr)
+        return EXIT_FLAG
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FLAG

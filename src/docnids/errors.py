@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto its exit-code contract: DataError -> 3,
-ModelFormatError / SchemaMismatchError -> 4.
+ModelFormatError / SchemaMismatchError -> 4, TrainingDivergedError -> 2
+(the flags, such as --lr, made training diverge).
 """
 
 

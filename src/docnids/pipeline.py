@@ -115,10 +115,17 @@ def score_batch(model: DocModel, x: np.ndarray) -> np.ndarray:
     return hbos.hbos_score_batch(model.hist, z)
 
 
+def verdict_labels(model: DocModel, scores):
+    """The decision rule: a score above the threshold is "anomaly", a
+    score exactly equal to it is "benign". Takes one score or an array
+    and returns one label or a list of labels."""
+    return np.where(np.asarray(scores) > model.threshold, "anomaly", "benign").tolist()
+
+
 def classify(model: DocModel, x: np.ndarray) -> Verdict:
-    """Threshold the score; a score exactly equal to the threshold is benign."""
+    """Score one raw feature vector and label it by the decision rule."""
     s = score(model, x)
-    return Verdict(score=s, label="anomaly" if s > model.threshold else "benign")
+    return Verdict(score=s, label=verdict_labels(model, s))
 
 
 def _pack_f64(arr: np.ndarray) -> bytes:

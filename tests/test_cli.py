@@ -104,11 +104,36 @@ class TestScore:
         ds = data.load_csv(dataset_csv, drop_columns=[])
         header = out[0].split(",")
         si, vi = header.index("score"), header.index("verdict")
-        for row_text, x in zip(out[1:6], ds.rows[:5]):
+        # 460 rows span several chunks and end in a partial one
+        assert len(out) == 1 + 460 and 460 % cli.SCORE_CHUNK_ROWS != 0
+        for row_text, x in zip(out[1:], ds.rows):
             parts = row_text.split(",")
             verdict = pipeline.classify(model, x)
             assert float(parts[si]) == verdict.score
             assert parts[vi] == verdict.label
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "missing"])
+    @pytest.mark.parametrize(
+        "index",
+        [0, cli.SCORE_CHUNK_ROWS - 1, cli.SCORE_CHUNK_ROWS, 459],
+        ids=["first", "chunk_end", "chunk_start", "last"],
+    )
+    def test_bad_row_exits_3_after_good_prefix(
+        self, dataset_csv, model_file, tmp_path, capsys, index, bad
+    ):
+        assert run(["score", "--model", str(model_file), "--input", str(dataset_csv)]) == 0
+        good_out = capsys.readouterr().out.splitlines(keepends=True)
+        lines = dataset_csv.read_text().splitlines(keepends=True)
+        fields = lines[1 + index].split(",")
+        # "missing" cuts the row short, so a feature column is absent
+        lines[1 + index] = "0.5\n" if bad == "missing" else ",".join([bad] + fields[1:])
+        corrupt = tmp_path / "corrupt.csv"
+        corrupt.write_text("".join(lines))
+        code = run(["score", "--model", str(model_file), "--input", str(corrupt)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"unparseable row at index {index}" in captured.err
+        assert captured.out == "".join(good_out[: 1 + index])
 
     def test_empty_input_header_only(self, model_file, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -188,6 +213,29 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["report", "--json", str(bad)]) == 3
+
+
+class TestErrorExits:
+    def test_bad_doc_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DOC_SEED", "abc")
+        code = run(
+            "synth --benign 5 --attack 1 --dims 3 --out".split() + [str(tmp_path / "x.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "DOC_SEED" in err and "Traceback" not in err
+
+    def test_diverged_training_exits_2(self, dataset_csv, tmp_path, capsys):
+        code = run(
+            [
+                "train", "--input", str(dataset_csv), "--out", str(tmp_path / "m.doc"),
+                "--epochs", "5", "--layer-dims", "6,10,4", "--lr", "1e6",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--lr" in err and "Traceback" not in err
+        assert not (tmp_path / "m.doc").exists()
 
 
 class TestSeedEnv:

@@ -44,7 +44,9 @@ def trapezoid_auc(labels, scores):
         preds = scores >= t
         tpr.append(((labels == 1) & preds).sum() / n_pos)
         fpr.append(((labels == 0) & preds).sum() / n_neg)
-    integrate = getattr(np, "trapezoid", np.trapz)
+    # numpy >= 2.0 has np.trapezoid and 2.4 dropped np.trapz, so only
+    # look up the old name when the new one is missing.
+    integrate = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
     return float(integrate(tpr, fpr))
 
 
