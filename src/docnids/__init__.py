@@ -5,7 +5,6 @@ embeddings toward a fixed center, and per-dimension histograms of those
 embeddings score how unusual new flows are.
 """
 
-from .backend import BACKEND
 from .data import (
     LabeledDataset,
     ScalerParams,
@@ -16,15 +15,30 @@ from .data import (
     split_benign,
     synth_generate,
 )
-from .hbos import HistogramSet, fit_histograms, hbos_score
-from .nn import Activation, Gradients, MlpParams, backprop, forward, init_params, sgd_step
-from .pipeline import DocModel, Verdict, classify, fit, load, save, score
-from .svdd import SvddConfig, SvddModel, distance_score, embed, init_center, svdd_loss, train
+from .hbos import HistogramSet, fit_histograms, hbos_score_batch
+from .nn import (
+    Activation,
+    Gradients,
+    MlpParams,
+    backprop_batch,
+    forward_batch,
+    init_params,
+    sgd_step,
+)
+from .pipeline import DocModel, Verdict, classify, fit, load, save, score_batch
+from .svdd import (
+    SvddConfig,
+    SvddModel,
+    distance_score_batch,
+    embed_batch,
+    init_center,
+    svdd_loss,
+    train,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Activation",
     "DocModel",
     "Gradients",
@@ -37,21 +51,21 @@ __all__ = [
     "SvddModel",
     "Verdict",
     "apply_scaler",
-    "backprop",
+    "backprop_batch",
     "classify",
-    "distance_score",
-    "embed",
+    "distance_score_batch",
+    "embed_batch",
     "fit",
     "fit_histograms",
     "fit_scaler",
-    "forward",
-    "hbos_score",
+    "forward_batch",
+    "hbos_score_batch",
     "init_center",
     "init_params",
     "load",
     "load_csv",
     "save",
-    "score",
+    "score_batch",
     "sgd_step",
     "split_benign",
     "svdd_loss",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -209,25 +210,17 @@ def cmd_evaluate(args) -> int:
         "input": str(args.input),
     }
 
-    def factory_for(name):
-        if name == "doc":
-            return lambda: evaluation.DocDetector(config, bins=args.bins)
-        if name == "svdd":
-            return lambda: evaluation.SvddDetector(config)
-        if name == "hbos":
-            return lambda: evaluation.HbosRawDetector(bins=args.bins)
-        return lambda: evaluation.PcaDetector()
-
     reports = []
     for name in names:
+        factory = functools.partial(evaluation.DETECTOR_FACTORIES[name], config, args.bins)
         if args.protocol == "kfold":
             report = evaluation.kfold_evaluate(
-                ds, factory_for(name), k=args.k, contamination=args.contamination,
+                ds, factory, k=args.k, contamination=args.contamination,
                 seed=args.seed, config_echo=echo,
             )
         else:
             report = evaluation.holdout_evaluate(
-                ds, factory_for(name), train_fraction=args.train_fraction,
+                ds, factory, train_fraction=args.train_fraction,
                 contamination=args.contamination, seed=args.seed, config_echo=echo,
             )
         reports.append(report)
@@ -260,19 +253,28 @@ def cmd_report(args) -> int:
         raise CliError(f"cannot read {args.json}: {e}", EXIT_FLAG)
     except json.JSONDecodeError as e:
         raise DataError(f"{args.json}: not a valid report file: {e}")
-    reports = []
-    for doc in payload.get("reports", []):
-        r = evaluation.EvalReport(
-            detector=doc["detector"], protocol=doc["protocol"], k=doc["k"],
-            contamination=doc["contamination"], seed=doc["seed"], config=doc["config"],
-            folds=[], wall_seconds=doc.get("wall_seconds", 0.0),
-            summary=doc["summary"],
+    entries = payload.get("reports", []) if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        raise DataError(
+            f"{args.json}: not a valid report file: expected an object holding a 'reports' list"
         )
-        r.folds = [None] * len(doc.get("folds", []))  # only the summary is rendered
-        reports.append(r)
+    reports = []
+    try:
+        for doc in entries:
+            r = evaluation.EvalReport(
+                detector=doc["detector"], protocol=doc["protocol"], k=doc["k"],
+                contamination=doc["contamination"], seed=doc["seed"], config=doc["config"],
+                folds=[], wall_seconds=doc.get("wall_seconds", 0.0),
+                summary=doc["summary"],
+            )
+            r.folds = [None] * len(doc.get("folds", []))  # only the summary is rendered
+            reports.append(r)
+        table = evaluation.render_table(reports)
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise DataError(f"{args.json}: incomplete report entry ({type(e).__name__}: {e})")
     if not reports:
         raise DataError(f"{args.json}: no reports found")
-    print(evaluation.render_table(reports))
+    print(table)
     return EXIT_OK
 
 

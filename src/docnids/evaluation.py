@@ -205,11 +205,12 @@ class PcaDetector:
         return (residual**2).sum(axis=1)
 
 
-DETECTOR_FACTORIES: dict[str, Callable[..., Detector]] = {
-    "doc": DocDetector,
-    "svdd": SvddDetector,
-    "hbos": HbosRawDetector,
-    "pca": PcaDetector,
+# Each detector built from the shared network config and histogram bin count.
+DETECTOR_FACTORIES: dict[str, Callable[[SvddConfig, int], Detector]] = {
+    "doc": lambda config, bins: DocDetector(config, bins=bins),
+    "svdd": lambda config, bins: SvddDetector(config),
+    "hbos": lambda config, bins: HbosRawDetector(bins=bins),
+    "pca": lambda config, bins: PcaDetector(),
 }
 
 

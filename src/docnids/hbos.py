@@ -61,18 +61,9 @@ def fit_histograms(z: np.ndarray, k: int) -> HistogramSet:
     return HistogramSet(lo=lo, hi=hi, k=k, heights=heights)
 
 
-def hbos_score(h: HistogramSet, z: np.ndarray) -> float:
-    """Score one embedding vector. Out-of-range coordinates clamp to the
-    nearest edge bin; empty bins are floored at EMPTY_BIN_FLOOR."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != h.dim:
-        raise ValueError(f"vector has length {z.shape[-1]}, expected {h.dim}")
-    return float(
-        backend.hbos_scores(h.lo, h.widths, h.heights, z.reshape(1, -1), EMPTY_BIN_FLOOR)[0]
-    )
-
-
 def hbos_score_batch(h: HistogramSet, z: np.ndarray) -> np.ndarray:
+    """Score each row of a (n, d) matrix. Out-of-range coordinates clamp
+    to the nearest edge bin; empty bins are floored at EMPTY_BIN_FLOOR."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != h.dim:
         raise ValueError(f"matrix has {z.shape[-1]} columns, expected {h.dim}")

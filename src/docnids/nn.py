@@ -79,45 +79,29 @@ def init_params(
     return MlpParams(layers=layers, activation=activation, layer_dims=list(layer_dims))
 
 
-def _check_input(params: MlpParams, x: np.ndarray, name: str, dim: int) -> np.ndarray:
+def _check_input(x: np.ndarray, name: str, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != dim:
         raise ValueError(f"{name} has length {x.shape[-1]}, expected {dim}")
     return x
 
 
-def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Map a single feature vector through the network."""
-    x = _check_input(params, x, "input", params.layer_dims[0])
-    acts = backend.forward_pass(params.layers, x.reshape(1, -1), params.activation.slope)
-    return acts[-1][0]
-
-
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Map a (n, d) batch through the network, preserving row order."""
-    x = _check_input(params, x, "input batch", params.layer_dims[0])
+    x = _check_input(x, "input batch", params.layer_dims[0])
     acts = backend.forward_pass(params.layers, x, params.activation.slope)
     return acts[-1]
 
 
-def backprop(params: MlpParams, x: np.ndarray, dl_dz: np.ndarray) -> Gradients:
-    """Exact per-sample weight gradients via reverse accumulation.
-
-    ``dl_dz`` is the loss gradient with respect to the network output.
-    """
-    x = _check_input(params, x, "input", params.layer_dims[0])
-    dl_dz = _check_input(params, dl_dz, "output gradient", params.layer_dims[-1])
-    acts = backend.forward_pass(params.layers, x.reshape(1, -1), params.activation.slope)
-    grads = backend.backward_pass(
-        params.layers, acts, dl_dz.reshape(1, -1), params.activation.slope
-    )
-    return Gradients(layers=grads)
-
-
 def backprop_batch(params: MlpParams, x: np.ndarray, dl_dz: np.ndarray) -> Gradients:
-    """Gradients summed over the batch (divide by n for the mean)."""
-    x = _check_input(params, x, "input batch", params.layer_dims[0])
-    dl_dz = _check_input(params, dl_dz, "output gradient batch", params.layer_dims[-1])
+    """Exact weight gradients via reverse accumulation, summed over the
+    batch (divide by n for the mean).
+
+    ``dl_dz`` is the loss gradient with respect to the network output,
+    one row per input row.
+    """
+    x = _check_input(x, "input batch", params.layer_dims[0])
+    dl_dz = _check_input(dl_dz, "output gradient batch", params.layer_dims[-1])
     acts = backend.forward_pass(params.layers, x, params.activation.slope)
     grads = backend.backward_pass(params.layers, acts, dl_dz, params.activation.slope)
     return Gradients(layers=grads)

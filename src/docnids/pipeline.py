@@ -102,14 +102,9 @@ def check_schema(model: DocModel, columns: list[str]) -> None:
         )
 
 
-def score(model: DocModel, x: np.ndarray) -> float:
-    """Anomaly score of one raw feature vector (scaling applied here)."""
-    scaled = apply_scaler(model.scaler, np.asarray(x, dtype=np.float64))
-    z = svdd.embed(model.svdd, scaled)
-    return hbos.hbos_score(model.hist, z)
-
-
 def score_batch(model: DocModel, x: np.ndarray) -> np.ndarray:
+    """Anomaly scores of a (n, d) matrix of raw feature rows (scaling
+    applied here)."""
     scaled = apply_scaler(model.scaler, np.asarray(x, dtype=np.float64))
     z = svdd.embed_batch(model.svdd, scaled)
     return hbos.hbos_score_batch(model.hist, z)
@@ -124,7 +119,7 @@ def verdict_labels(model: DocModel, scores):
 
 def classify(model: DocModel, x: np.ndarray) -> Verdict:
     """Score one raw feature vector and label it by the decision rule."""
-    s = score(model, x)
+    s = float(score_batch(model, np.asarray(x)[None])[0])
     return Verdict(score=s, label=verdict_labels(model, s))
 
 
@@ -201,13 +196,21 @@ def load(path) -> DocModel:
         raise ModelFormatError(f"unknown activation code {act_code}")
     (ndims,) = r.unpack("<I")
     dims = list(r.unpack(f"<{ndims}I"))
+    if ndims < 2 or min(dims) < 1:
+        raise ModelFormatError(f"invalid layer dims {dims}: need at least two, each >= 1")
     layers = [r.f64((dims[i + 1], dims[i])) for i in range(ndims - 1)]
     weight_decay, radius = r.unpack("<dd")
     center = r.f64(dims[-1])
     (nf,) = r.unpack("<I")
+    if nf != dims[0]:
+        raise ModelFormatError(f"scaler has {nf} features, network input expects {dims[0]}")
     mins = r.f64(nf)
     maxs = r.f64(nf)
     d, k = r.unpack("<II")
+    if d != dims[-1]:
+        raise ModelFormatError(f"histograms have {d} dims, embedding has {dims[-1]}")
+    if k < 1:
+        raise ModelFormatError(f"histogram bin count must be >= 1, got {k}")
     lo = r.f64(d)
     hi = r.f64(d)
     heights = r.f64((d, k))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import backend, nn
 from .errors import TrainingDivergedError
 from .nn import Activation, MlpParams
 
@@ -80,8 +80,13 @@ def svdd_loss(params: MlpParams, batch: np.ndarray, c: np.ndarray, weight_decay:
     z = nn.forward_batch(params, batch)
     if len(c) != z.shape[1]:
         raise ValueError(f"center has length {len(c)}, expected {z.shape[1]}")
+    return _loss(z, c, params.layers, weight_decay)
+
+
+def _loss(z: np.ndarray, c: np.ndarray, layers: list[np.ndarray], weight_decay: float) -> float:
+    """The objective of ``svdd_loss`` from embeddings ``z`` already computed."""
     dist = ((z - c) ** 2).sum(axis=1).mean()
-    reg = 0.5 * weight_decay * sum(float((w**2).sum()) for w in params.layers)
+    reg = 0.5 * weight_decay * sum(float((w**2).sum()) for w in layers)
     return float(dist + reg)
 
 
@@ -113,13 +118,11 @@ def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
         for b, start in enumerate(range(0, n, config.batch_size)):
             batch = train_x[order[start : start + config.batch_size]]
             nb = batch.shape[0]
-            acts = nn.backend.forward_pass(params.layers, batch, config.activation.slope)
+            acts = backend.forward_pass(params.layers, batch, config.activation.slope)
             z = acts[-1]
             delta = 2.0 * (z - c) / nb
-            grads = nn.backend.backward_pass(params.layers, acts, delta, config.activation.slope)
-            loss = float(((z - c) ** 2).sum(axis=1).mean()) + 0.5 * config.weight_decay * sum(
-                float((w**2).sum()) for w in params.layers
-            )
+            grads = backend.backward_pass(params.layers, acts, delta, config.activation.slope)
+            loss = _loss(z, c, params.layers, config.weight_decay)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b}"
@@ -142,20 +145,11 @@ def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
     )
 
 
-def embed(model: SvddModel, x: np.ndarray) -> np.ndarray:
-    """Embedding of a single feature vector under the trained network."""
-    return nn.forward(model.params, x)
-
-
 def embed_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:
+    """Embeddings of a (n, d) batch under the trained network."""
     return nn.forward_batch(model.params, x)
 
 
-def distance_score(model: SvddModel, x: np.ndarray) -> float:
-    """Squared embedding distance to the center; higher = more anomalous."""
-    z = nn.forward(model.params, x)
-    return float(((z - model.center) ** 2).sum())
-
-
 def distance_score_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:
+    """Squared embedding distance to the center per row; higher = more anomalous."""
     return _distances_sq(model.params, np.asarray(x, dtype=np.float64), model.center)

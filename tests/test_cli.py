@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from docnids import cli, data, pipeline
+from docnids.hbos import HistogramSet
+from docnids.nn import MlpParams
 
 
 def run(argv):
@@ -73,7 +75,7 @@ class TestTrain:
         )
         assert code == 0
         model = pipeline.load(model_path)
-        assert np.isfinite(pipeline.score(model, np.full(6, 0.5)))
+        assert np.isfinite(pipeline.score_batch(model, np.full((1, 6), 0.5))[0])
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["train", "--out", str(tmp_path / "m.doc")]) == 2
@@ -94,6 +96,36 @@ class TestTrain:
         benign_rows = [r.split(",") for r in out[1:] if r.split(",")[li] == "0"]
         frac = np.mean([r[vi] == "anomaly" for r in benign_rows])
         assert 0.05 <= frac <= 0.15  # contamination default 0.1
+
+
+def _drop_last_hist_dim(m):
+    h = m.hist
+    m.hist = HistogramSet(lo=h.lo[:-1], hi=h.hi[:-1], k=h.k, heights=h.heights[:-1])
+
+
+def _drop_last_scaler_feature(m):
+    m.scaler = data.ScalerParams(mins=m.scaler.mins[:-1], maxs=m.scaler.maxs[:-1])
+
+
+def _zero_bins(m):
+    h = m.hist
+    m.hist = HistogramSet(lo=h.lo, hi=h.hi, k=0, heights=h.heights[:, :0])
+
+
+def _set_dims(m, dims):
+    layers = [np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])]
+    m.svdd.params = MlpParams(layers=layers, activation=m.svdd.params.activation, layer_dims=dims)
+
+
+# Each edit leaves a model that `pipeline.save` writes with a valid CRC
+# but whose sections disagree with each other.
+INCONSISTENT_MODELS = {
+    "hist_dim_ne_embedding": _drop_last_hist_dim,
+    "scaler_width_ne_input": _drop_last_scaler_feature,
+    "zero_bins": _zero_bins,
+    "one_dim": lambda m: _set_dims(m, [6]),
+    "zero_width_layer": lambda m: _set_dims(m, [6, 0, 4]),
+}
 
 
 class TestScore:
@@ -155,6 +187,18 @@ class TestScore:
         other.write_text("a,b,Label\n1,2,0\n")
         assert run(["score", "--model", str(model_file), "--input", str(other)]) == 4
 
+    @pytest.mark.parametrize("tamper", sorted(INCONSISTENT_MODELS))
+    def test_inconsistent_model_exits_4(self, dataset_csv, model_file, tmp_path, capsys, tamper):
+        model = pipeline.load(model_file)
+        INCONSISTENT_MODELS[tamper](model)
+        bad = tmp_path / "bad.doc"
+        pipeline.save(model, bad)  # valid checksum over inconsistent sections
+        code = run(["score", "--model", str(bad), "--input", str(dataset_csv)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
 
 class TestEvaluate:
     def test_table_and_reports(self, dataset_csv, tmp_path, capsys):
@@ -213,6 +257,34 @@ class TestReport:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["report", "--json", str(bad)]) == 3
+
+    @pytest.mark.parametrize(
+        "case", ["missing_key", "top_level_list", "reports_not_a_list", "summary_missing_metric"]
+    )
+    def test_malformed_report_exits_3(self, dataset_csv, tmp_path, capsys, case):
+        out_json = tmp_path / "r.json"
+        run(
+            [
+                "evaluate", "--input", str(dataset_csv), "--detectors", "hbos",
+                "--k", "3", "--seed", "1", "--out-json", str(out_json),
+            ]
+        )
+        capsys.readouterr()
+        payload = json.loads(out_json.read_text())
+        entry = payload["reports"][0]
+        if case == "missing_key":
+            del entry["protocol"]
+        elif case == "summary_missing_metric":
+            del entry["summary"]["auc"]
+        elif case == "top_level_list":
+            payload = payload["reports"]
+        else:
+            payload = {"reports": entry}
+        out_json.write_text(json.dumps(payload))
+        code = run(["report", "--json", str(out_json)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestErrorExits:

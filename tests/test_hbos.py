@@ -79,40 +79,40 @@ class TestFitHistograms:
 class TestHbosScore:
     def test_modal_bins_score_zero(self):
         h = hbos.fit_histograms(np.array([[0.0], [0.1]]), k=1)
-        assert hbos.hbos_score(h, np.array([0.05])) == pytest.approx(0.0)
+        assert hbos.hbos_score_batch(h, np.array([[0.05]]))[0] == pytest.approx(0.0)
 
     def test_two_dims_hand_value(self):
         h = hbos.HistogramSet(
             lo=np.zeros(2), hi=np.ones(2), k=1, heights=np.array([[1.0], [0.5]])
         )
-        assert hbos.hbos_score(h, np.array([0.5, 0.5])) == pytest.approx(math.log(2))
+        assert hbos.hbos_score_batch(h, np.array([[0.5, 0.5]]))[0] == pytest.approx(math.log(2))
 
     def test_empty_bin_uses_floor(self):
         h = hbos.HistogramSet(
             lo=np.zeros(1), hi=np.ones(1), k=2, heights=np.array([[1.0, 0.0]])
         )
-        assert hbos.hbos_score(h, np.array([0.9])) == pytest.approx(math.log(1e6))
+        assert hbos.hbos_score_batch(h, np.array([[0.9]]))[0] == pytest.approx(math.log(1e6))
 
     def test_out_of_range_clamps_to_edges(self):
         h = hbos.fit_histograms(np.array([[0.0], [0.0], [1.0]]), k=2)
-        assert hbos.hbos_score(h, np.array([-5.0])) == pytest.approx(
-            hbos.hbos_score(h, np.array([0.1]))
+        assert hbos.hbos_score_batch(h, np.array([[-5.0]]))[0] == pytest.approx(
+            hbos.hbos_score_batch(h, np.array([[0.1]]))[0]
         )
-        assert hbos.hbos_score(h, np.array([99.0])) == pytest.approx(
-            hbos.hbos_score(h, np.array([0.9]))
+        assert hbos.hbos_score_batch(h, np.array([[99.0]]))[0] == pytest.approx(
+            hbos.hbos_score_batch(h, np.array([[0.9]]))[0]
         )
 
     def test_additivity_over_dimensions(self, rng):
         z = rng.normal(size=(30, 3))
         h = hbos.fit_histograms(z, k=4)
         q = rng.normal(size=3)
-        total = hbos.hbos_score(h, q)
+        total = hbos.hbos_score_batch(h, q[None])[0]
         parts = 0.0
         for j in range(3):
             hj = hbos.HistogramSet(
                 lo=h.lo[j : j + 1], hi=h.hi[j : j + 1], k=h.k, heights=h.heights[j : j + 1]
             )
-            parts += hbos.hbos_score(hj, q[j : j + 1])
+            parts += hbos.hbos_score_batch(hj, q[None, j : j + 1])[0]
         assert total == pytest.approx(parts, abs=1e-12)
 
     def test_nonnegative(self, rng):
@@ -128,12 +128,12 @@ class TestHbosScore:
             lo=np.zeros(1), hi=np.ones(1), k=2, heights=np.array([[1.0, 0.4]])
         )
         q = np.array([0.9])
-        assert hbos.hbos_score(lowered, q) >= hbos.hbos_score(base, q)
+        assert hbos.hbos_score_batch(lowered, q[None])[0] >= hbos.hbos_score_batch(base, q[None])[0]
 
     def test_dimension_mismatch(self):
         h = hbos.fit_histograms(np.zeros((3, 2)), k=2)
         with pytest.raises(ValueError):
-            hbos.hbos_score(h, np.zeros(3))
+            hbos.hbos_score_batch(h, np.zeros((1, 3)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))

@@ -22,7 +22,7 @@ def naive_forward(layers, activation_slope, x):
 
 
 def composed_loss(params, x, c):
-    z = nn.forward(params, x)
+    z = nn.forward_batch(params, x[None])[0]
     return float(((z - c) ** 2).sum())
 
 
@@ -58,7 +58,7 @@ class TestForward:
             activation=Activation.RECTIFIER,
             layer_dims=[2, 2, 2],
         )
-        assert np.allclose(nn.forward(p, np.array([-1.0, 2.0])), [0.0, 2.0])
+        assert np.allclose(nn.forward_batch(p, np.array([[-1.0, 2.0]]))[0], [0.0, 2.0])
 
     def test_zero_weights_give_zero_output(self):
         p = nn.MlpParams(
@@ -66,31 +66,31 @@ class TestForward:
             activation=Activation.LEAKY_RECTIFIER,
             layer_dims=[2, 3, 2],
         )
-        assert np.array_equal(nn.forward(p, np.array([5.0, -3.0])), np.zeros(2))
+        assert np.array_equal(nn.forward_batch(p, np.array([[5.0, -3.0]]))[0], np.zeros(2))
 
     def test_matches_naive_oracle(self, rng):
         p = nn.init_params([5, 7, 3], seed=3)
         for _ in range(10):
             x = rng.normal(size=5)
             expected = naive_forward(p.layers, p.activation.slope, x)
-            assert np.allclose(nn.forward(p, x), expected, atol=1e-12, rtol=0)
+            assert np.allclose(nn.forward_batch(p, x[None])[0], expected, atol=1e-12, rtol=0)
 
     def test_dimension_mismatch(self):
         p = nn.init_params([4, 2], seed=0)
         with pytest.raises(ValueError):
-            nn.forward(p, np.zeros(3))
+            nn.forward_batch(p, np.zeros((1, 3)))
 
     def test_deterministic(self, rng):
         p = nn.init_params([4, 6, 2], seed=9)
         x = rng.normal(size=4)
-        assert np.array_equal(nn.forward(p, x), nn.forward(p, x))
+        assert np.array_equal(nn.forward_batch(p, x[None])[0], nn.forward_batch(p, x[None])[0])
 
     def test_batch_preserves_row_order(self, rng):
         p = nn.init_params([4, 6, 2], seed=9)
         xs = rng.normal(size=(8, 4))
         batch = nn.forward_batch(p, xs)
         for i in range(8):
-            assert np.allclose(batch[i], nn.forward(p, xs[i]), atol=1e-12)
+            assert np.allclose(batch[i], nn.forward_batch(p, xs[i][None])[0], atol=1e-12)
 
 
 class TestBackprop:
@@ -101,7 +101,7 @@ class TestBackprop:
             layer_dims=[3, 1],
         )
         x = np.array([1.0, 2.0, 3.0])
-        g = nn.backprop(p, x, np.array([1.0]))
+        g = nn.backprop_batch(p, x[None], np.array([[1.0]]))
         assert np.allclose(g.layers[0], x.reshape(1, -1))
 
     def test_saturated_rectifier_blocks_gradient(self):
@@ -111,15 +111,15 @@ class TestBackprop:
             activation=Activation.RECTIFIER,
             layer_dims=[2, 3, 1],
         )
-        g = nn.backprop(p, np.array([1.0, 1.0]), np.array([1.0]))
+        g = nn.backprop_batch(p, np.array([[1.0, 1.0]]), np.array([[1.0]]))
         assert np.allclose(g.layers[0], 0.0)
 
     def test_matches_finite_differences(self, rng):
         p = nn.init_params([5, 8, 6, 3], seed=11)
         x = rng.normal(size=5)
         c = rng.normal(size=3)
-        z = nn.forward(p, x)
-        analytic = nn.backprop(p, x, 2.0 * (z - c))
+        z = nn.forward_batch(p, x[None])[0]
+        analytic = nn.backprop_batch(p, x[None], (2.0 * (z - c))[None])
         h = 1e-5
         for li, w in enumerate(p.layers):
             for i in range(w.shape[0]):
@@ -137,7 +137,7 @@ class TestBackprop:
     def test_dimension_mismatch(self):
         p = nn.init_params([4, 2], seed=0)
         with pytest.raises(ValueError):
-            nn.backprop(p, np.zeros(4), np.zeros(3))
+            nn.backprop_batch(p, np.zeros((1, 4)), np.zeros((1, 3)))
 
 
 class TestSgdStep:

@@ -51,20 +51,23 @@ class TestScoreAndClassify:
         model, _ = small_model
         x = rng.uniform(size=6)
         scaled = data.apply_scaler(model.scaler, x)
-        z = svdd.embed(model.svdd, scaled)
-        assert pipeline.score(model, x) == hbos.hbos_score(model.hist, z)
+        z = svdd.embed_batch(model.svdd, scaled[None])[0]
+        assert (
+            pipeline.score_batch(model, x[None])[0]
+            == hbos.hbos_score_batch(model.hist, z[None])[0]
+        )
 
     def test_single_equals_batch(self, small_model, rng):
         model, _ = small_model
         xs = rng.uniform(size=(10, 6))
         batch = pipeline.score_batch(model, xs)
-        singles = [pipeline.score(model, x) for x in xs]
+        singles = [pipeline.score_batch(model, x[None])[0] for x in xs]
         assert np.allclose(batch, singles, atol=0, rtol=0)
 
     def test_tie_classifies_benign(self, small_model, rng):
         model, _ = small_model
         v = pipeline.Verdict(score=model.threshold, label="")
-        # classify goes through score; check the decision rule directly
+        # classify goes through score_batch; check the decision rule directly
         assert ("anomaly" if v.score > model.threshold else "benign") == "benign"
         x = rng.uniform(size=6)
         verdict = pipeline.classify(model, x)

@@ -35,7 +35,7 @@ class TestInitCenter:
     def test_matches_independent_column_means(self, rng):
         p = nn.init_params([4, 6, 3], seed=5)
         x = rng.uniform(size=(20, 4))
-        z = np.stack([nn.forward(p, row) for row in x])
+        z = np.stack([nn.forward_batch(p, row[None])[0] for row in x])
         expected = z.mean(axis=0)
         expected[np.abs(expected) < 0.01] = np.where(
             expected[np.abs(expected) < 0.01] >= 0, 0.01, -0.01
@@ -135,14 +135,15 @@ class TestEmbedAndScore:
     def test_embed_equals_forward(self, trained_svdd, rng):
         x = rng.uniform(size=16)
         assert np.array_equal(
-            svdd.embed(trained_svdd, x), nn.forward(trained_svdd.params, x)
+            svdd.embed_batch(trained_svdd, x[None])[0],
+            nn.forward_batch(trained_svdd.params, x[None])[0],
         )
 
     def test_batch_preserves_order(self, trained_svdd, rng):
         xs = rng.uniform(size=(5, 16))
         batch = svdd.embed_batch(trained_svdd, xs)
         for i in range(5):
-            assert np.allclose(batch[i], svdd.embed(trained_svdd, xs[i]), atol=1e-12)
+            assert np.allclose(batch[i], svdd.embed_batch(trained_svdd, xs[i][None])[0], atol=1e-12)
 
     def test_radius_covers_99pct_of_training(self, trained_svdd, fixture_scaled):
         scaled, _ = fixture_scaled
@@ -153,13 +154,14 @@ class TestEmbedAndScore:
     def test_score_zero_at_center(self):
         p = identity_net(2)
         m = svdd.SvddModel(params=p, center=np.array([0.4, 0.6]), weight_decay=0.0)
-        assert svdd.distance_score(m, np.array([0.4, 0.6])) == pytest.approx(0.0)
+        assert svdd.distance_score_batch(m, np.array([[0.4, 0.6]]))[0] == pytest.approx(0.0)
 
     def test_score_monotone_in_distance(self):
         p = identity_net(1)
         m = svdd.SvddModel(params=p, center=np.zeros(1), weight_decay=0.0)
-        assert svdd.distance_score(m, np.array([0.2])) < svdd.distance_score(
-            m, np.array([0.5])
+        assert (
+            svdd.distance_score_batch(m, np.array([[0.2]]))[0]
+            < svdd.distance_score_batch(m, np.array([[0.5]]))[0]
         )
 
     def test_batch_score_independent_of_other_rows(self, trained_svdd, rng):
