@@ -157,7 +157,6 @@ def _parse_features(rows: list[list[str]], feature_idx: list[int]) -> np.ndarray
 
 def cmd_score(args) -> int:
     model = pipeline.load(args.model)
-    drop = set(_drop_list(args))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     with open(args.input, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -165,8 +164,9 @@ def cmd_score(args) -> int:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{args.input}: file is empty")
-        skip = {args.label_column, args.category_column} | drop
-        feature_idx = [i for i, name in enumerate(header) if name not in skip]
+        feature_idx = data.feature_indices(
+            header, args.label_column, args.category_column, _drop_list(args)
+        )
         columns = [header[i] for i in feature_idx]
         pipeline.check_schema(model, columns)
         writer.writerow(header + ["score", "verdict"])

@@ -8,6 +8,8 @@ only, and attack rows appear exclusively in test sets.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,17 @@ def _parse_label(raw: str) -> int:
     return 0 if s.lower() == "benign" else 1
 
 
+def feature_indices(
+    header: list[str], label_column: str, category_column: str, drop
+) -> list[int]:
+    """Indices of the feature columns: every column except those named
+    ``label_column`` or ``category_column`` and those named in ``drop``.
+    Training and scoring both select columns by this rule, so a model's
+    schema hash matches the columns the scorer reads."""
+    skip = {label_column, category_column, *drop}
+    return [i for i, name in enumerate(header) if name not in skip]
+
+
 def load_csv(
     path,
     label_column: str = "Label",
@@ -75,68 +88,133 @@ def load_csv(
     """Load a labeled feature table, dropping identifier columns.
 
     Rows with unparseable numeric values are rejected; the error names
-    the offending row indices (0-based, counting data rows).
+    the offending row indices (0-based, counting data rows). The table is
+    parsed whole by ``_parse_table``; ``_parse_rows`` runs only when that
+    parse cannot vouch for its result, and it names the bad rows.
     """
-    drop = set(DEFAULT_DROP_COLUMNS if drop_columns is None else drop_columns)
+    drop = DEFAULT_DROP_COLUMNS if drop_columns is None else drop_columns
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not found")
-        label_idx = header.index(label_column)
-        cat_idx = header.index(category_column) if category_column in header else None
-        feature_idx = [
-            i
-            for i, name in enumerate(header)
-            if i != label_idx and i != cat_idx and name not in drop
-        ]
-        columns = [header[i] for i in feature_idx]
+        header_lines = reader.line_num
+    if label_column not in header:
+        raise DataError(f"{path}: label column {label_column!r} not found")
+    feature_idx = feature_indices(header, label_column, category_column, drop)
+    text_idx = [header.index(label_column)]
+    if category_column in header:
+        text_idx.append(header.index(category_column))
+    parsed = None
+    if header_lines == 1 and feature_idx:
+        parsed = _parse_table(path, feature_idx, text_idx)
+    if parsed is None:
+        parsed = _parse_rows(path, feature_idx, text_idx)
+    return LabeledDataset([header[i] for i in feature_idx], *parsed)
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        categories: list[str] = []
-        bad_rows: list[int] = []
+
+def _data_lines(path) -> int | None:
+    """Lines after a one-line header, counting CR, LF and CRLF line ends
+    as ``csv`` does, or None for a file holding a NUL byte."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    if b"\0" in buf:
+        return None
+    ends = buf.count(b"\n")
+    if b"\r" in buf:
+        ends += buf.count(b"\r") - buf.count(b"\r\n")
+    return ends + (not buf.endswith((b"\n", b"\r"))) - 1
+
+
+def _parse_table(path, feature_idx: list[int], text_idx: list[int]):
+    """Whole-table parse with ``np.loadtxt``: ``(rows, labels,
+    categories)``, or None where the result might differ from
+    ``_parse_rows``.
+
+    ``loadtxt`` skips empty lines, which ``_parse_rows`` rejects, and
+    joins quoted line breaks into one row; either makes the row count
+    differ from the line count. It also rejects some numbers ``float``
+    accepts (``1_0``), and NaN or infinity parse here but are bad rows.
+    """
+    n = _data_lines(path)
+    if not n:
+        return None
+    common = dict(
+        delimiter=",", skiprows=1, comments=None, quotechar='"', ndmin=2, encoding="utf-8"
+    )
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=np.float64, usecols=feature_idx, **common)
+            text = np.loadtxt(path, dtype=str, usecols=text_idx, **common)
+    except (ValueError, Warning):
+        return None
+    if len(rows) != n or len(text) != n or not np.isfinite(rows).all():
+        return None
+    names, inverse = np.unique(text[:, 0], return_inverse=True)
+    labels = np.array([_parse_label(s) for s in names.tolist()], dtype=np.int64)
+    categories = text[:, 1].tolist() if len(text_idx) == 2 else None
+    return rows, labels[inverse.reshape(-1)], categories
+
+
+def _parse_rows(path, feature_idx: list[int], text_idx: list[int]):
+    """Row-by-row parse through ``csv.reader``; the one place that names
+    bad rows. Returns ``(rows, labels, categories)``."""
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    categories: list[str] = []
+    bad_rows: list[int] = []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        next(reader)
         for rownum, rec in enumerate(reader):
             try:
                 values = [float(rec[i]) for i in feature_idx]
                 if not all(np.isfinite(values)):
                     raise ValueError
-                label = _parse_label(rec[label_idx])
+                label = _parse_label(rec[text_idx[0]])
             except (ValueError, IndexError):
                 bad_rows.append(rownum)
                 continue
             rows.append(values)
             labels.append(label)
-            categories.append(rec[cat_idx] if cat_idx is not None else "")
+            categories.append(rec[text_idx[1]] if len(text_idx) == 2 else "")
     if bad_rows:
         shown = ", ".join(map(str, bad_rows[:20]))
         raise DataError(f"{path}: unparseable rows at indices {shown}")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return LabeledDataset(
-        columns=columns,
-        rows=np.array(rows, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        categories=categories if cat_idx is not None else None,
+    return (
+        np.array(rows, dtype=np.float64),
+        np.array(labels, dtype=np.int64),
+        categories if len(text_idx) == 2 else None,
     )
+
+
+def _csv_line(cells) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
 
 
 def save_csv(ds: LabeledDataset, path, label_column: str = "Label") -> None:
     """Write a dataset back out; floats use shortest round-trip formatting."""
+    header = list(ds.columns) + [label_column]
+    labels = [str(int(v)) for v in ds.labels.tolist()]
+    if ds.categories is None:
+        tails = [(label,) for label in labels]
+    else:
+        header.append("Attack")
+        tails = list(zip(labels, ds.categories))
+    # Only a category may need quoting, and the distinct tails are few.
+    tail_text = {tail: _csv_line(tail) for tail in set(tails)}
+    rows = np.asarray(ds.rows, dtype=np.float64).tolist()
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        header = list(ds.columns) + [label_column]
-        if ds.categories is not None:
-            header.append("Attack")
-        writer.writerow(header)
-        for i in range(len(ds.rows)):
-            rec = [repr(float(v)) for v in ds.rows[i]] + [str(int(ds.labels[i]))]
-            if ds.categories is not None:
-                rec.append(ds.categories[i])
-            writer.writerow(rec)
+        csv.writer(f, lineterminator="\n").writerow(header)
+        f.writelines(
+            ",".join([*map(repr, row), tail_text[tail]]) for row, tail in zip(rows, tails)
+        )
 
 
 def fit_scaler(train: np.ndarray) -> ScalerParams:

@@ -96,16 +96,13 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need at least one positive and one negative label")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    # midranks over tied blocks
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # midranks over tied blocks; `!=` rather than a difference, so equal
+    # infinities share a block
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -133,8 +130,7 @@ class DocDetector:
         self.model, self.hist, _ = pipeline.fit_core(self.config, benign, self.bins)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        z = svdd.embed_batch(self.model, x)
-        return hbos.hbos_score_batch(self.hist, z)
+        return pipeline.scaled_scores(self.model, self.hist, x)
 
 
 class SvddDetector:

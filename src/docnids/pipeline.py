@@ -53,7 +53,9 @@ def fit_core(
     config: SvddConfig, benign_scaled: np.ndarray, bins: int
 ) -> tuple[SvddModel, HistogramSet, np.ndarray]:
     """Train the embedding network, fit histograms on the training
-    embeddings, and return both plus the training scores."""
+    embeddings, and return both plus the training scores. The scores are
+    those of ``scaled_scores``, taken from the embeddings already made
+    for the histograms rather than from a second forward pass."""
     model = svdd.train(config, benign_scaled)
     z = svdd.embed_batch(model, benign_scaled)
     hist = hbos.fit_histograms(z, bins)
@@ -102,12 +104,17 @@ def check_schema(model: DocModel, columns: list[str]) -> None:
         )
 
 
+def scaled_scores(model: SvddModel, hist: HistogramSet, scaled: np.ndarray) -> np.ndarray:
+    """Anomaly scores of a (n, d) matrix of rows already min-max scaled:
+    embed them, then sum the histogram scores of the embeddings."""
+    return hbos.hbos_score_batch(hist, svdd.embed_batch(model, scaled))
+
+
 def score_batch(model: DocModel, x: np.ndarray) -> np.ndarray:
     """Anomaly scores of a (n, d) matrix of raw feature rows (scaling
     applied here)."""
     scaled = apply_scaler(model.scaler, np.asarray(x, dtype=np.float64))
-    z = svdd.embed_batch(model.svdd, scaled)
-    return hbos.hbos_score_batch(model.hist, z)
+    return scaled_scores(model.svdd, model.hist, scaled)
 
 
 def verdict_labels(model: DocModel, scores):

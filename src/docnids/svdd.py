@@ -112,27 +112,30 @@ def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
     rng = np.random.default_rng(config.seed + 1)
     n = train_x.shape[0]
     history: list[tuple[int, float]] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for b, start in enumerate(range(0, n, config.batch_size)):
-            batch = train_x[order[start : start + config.batch_size]]
-            nb = batch.shape[0]
-            acts = backend.forward_pass(params.layers, batch, config.activation.slope)
-            z = acts[-1]
-            delta = 2.0 * (z - c) / nb
-            grads = backend.backward_pass(params.layers, acts, delta, config.activation.slope)
-            loss = _loss(z, c, params.layers, config.weight_decay)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {b}"
+    # A diverging run overflows in the passes and the loss before the
+    # non-finite loss check below stops it; that check is the one report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for b, start in enumerate(range(0, n, config.batch_size)):
+                batch = train_x[order[start : start + config.batch_size]]
+                nb = batch.shape[0]
+                acts = backend.forward_pass(params.layers, batch, config.activation.slope)
+                z = acts[-1]
+                delta = 2.0 * (z - c) / nb
+                grads = backend.backward_pass(params.layers, acts, delta, config.activation.slope)
+                loss = _loss(z, c, params.layers, config.weight_decay)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch {b}"
+                    )
+                full_grads = nn.Gradients(
+                    layers=[g + config.weight_decay * w for g, w in zip(grads, params.layers)]
                 )
-            full_grads = nn.Gradients(
-                layers=[g + config.weight_decay * w for g, w in zip(grads, params.layers)]
-            )
-            params = nn.sgd_step(params, full_grads, config.lr)
-            epoch_loss += loss * nb
-        history.append((epoch, epoch_loss / n))
+                params = nn.sgd_step(params, full_grads, config.lr)
+                epoch_loss += loss * nb
+            history.append((epoch, epoch_loss / n))
 
     dist = np.sqrt(_distances_sq(params, train_x, c))
     radius = float(np.quantile(dist, 0.99))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,33 @@ class TestScore:
         assert len(out) == 1
         assert out[0].endswith("score,verdict")
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            ["f0", "IPV4_SRC_ADDR", "f1", "Attack", "f2", "Label"],
+            ["Attack", "f0", "f1", "L4_DST_PORT", "Label", "f2", "Attack"],
+        ],
+        ids=["dropped_and_attack", "repeated_attack"],
+    )
+    def test_train_and_score_select_the_same_columns(self, tmp_path, capsys, header):
+        r = np.random.default_rng(4)
+        text_cells = {"Attack": "Benign", "IPV4_SRC_ADDR": "10.0.0.1", "L4_DST_PORT": "80"}
+        lines = [",".join(header)]
+        for i in range(120):
+            cells = {**text_cells, "Label": str(int(i % 10 == 0))}
+            lines.append(",".join(cells.get(h, repr(float(r.random()))) for h in header))
+        flows = tmp_path / "flows.csv"
+        flows.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "m.doc"
+        train = ["train", "--input", str(flows), "--out", str(model_path), "--epochs", "1"]
+        assert run(train) == 0
+        columns = data.load_csv(flows).columns
+        assert columns == ["f0", "f1", "f2"]
+        assert pipeline.load(model_path).schema_hash == pipeline.schema_hash(columns)
+        capsys.readouterr()
+        assert run(["score", "--model", str(model_path), "--input", str(flows)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 120
+
     def test_corrupted_model_exits_4(self, dataset_csv, tmp_path, capsys):
         bad = tmp_path / "bad.doc"
         bad.write_bytes(b"garbage here")
@@ -298,15 +326,21 @@ class TestErrorExits:
         assert "DOC_SEED" in err and "Traceback" not in err
 
     def test_diverged_training_exits_2(self, dataset_csv, tmp_path, capsys):
-        code = run(
-            [
-                "train", "--input", str(dataset_csv), "--out", str(tmp_path / "m.doc"),
-                "--epochs", "5", "--layer-dims", "6,10,4", "--lr", "1e6",
-            ]
-        )
+        # pytest would capture NumPy's overflow warnings away from capsys,
+        # so record them here: the error line must be the only report.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                [
+                    "train", "--input", str(dataset_csv), "--out", str(tmp_path / "m.doc"),
+                    "--epochs", "5", "--layer-dims", "6,10,4", "--lr", "1e6",
+                ]
+            )
         err = capsys.readouterr().err
         assert code == 2
         assert "--lr" in err and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not (tmp_path / "m.doc").exists()
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,166 @@ class TestLoadCsv:
         assert np.array_equal(back.rows, ds.rows)
         assert np.array_equal(back.labels, ds.labels)
         assert back.columns == ds.columns
+
+
+def per_row_load(path, label_column="Label", drop_columns=(), category_column="Attack"):
+    """Oracle: the row-by-row csv.reader + float() parse that load_csv's
+    whole-table path must reproduce exactly."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        label_idx = header.index(label_column)
+        cat_idx = header.index(category_column) if category_column in header else None
+        skip = {label_column, category_column, *drop_columns}
+        feature_idx = [i for i, name in enumerate(header) if name not in skip]
+        rows, labels, categories, bad_rows = [], [], [], []
+        for rownum, rec in enumerate(reader):
+            try:
+                values = [float(rec[i]) for i in feature_idx]
+                if not all(np.isfinite(values)):
+                    raise ValueError
+                label = data._parse_label(rec[label_idx])
+            except (ValueError, IndexError):
+                bad_rows.append(rownum)
+                continue
+            rows.append(values)
+            labels.append(label)
+            categories.append(rec[cat_idx] if cat_idx is not None else "")
+    if bad_rows:
+        shown = ", ".join(map(str, bad_rows[:20]))
+        raise DataError(f"{path}: unparseable rows at indices {shown}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return (
+        [header[i] for i in feature_idx],
+        np.array(rows, dtype=np.float64),
+        np.array(labels, dtype=np.int64),
+        categories if cat_idx is not None else None,
+    )
+
+
+def per_row_save(ds, path):
+    """Oracle: the csv.writer + repr writer that save_csv must match byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        header = list(ds.columns) + ["Label"]
+        if ds.categories is not None:
+            header.append("Attack")
+        writer.writerow(header)
+        for i in range(len(ds.rows)):
+            rec = [repr(float(v)) for v in ds.rows[i]] + [str(int(ds.labels[i]))]
+            if ds.categories is not None:
+                rec.append(ds.categories[i])
+            writer.writerow(rec)
+
+
+LOAD_CASES = {
+    "clean": "a,b,Label,Attack\n1,2.5,0,Benign\n-3e2,4,1,DoS\n",
+    "blank_line": "a,b,Label\n1,2,0\n\n3,4,1\n",
+    "blank_last_line": "a,b,Label\n1,2,0\n\n",
+    "hash_line": "a,b,Label\n1,2,0\n# note\n3,4,1\n",
+    "hash_cell": "a,b,Label\n#1,2,0\n",
+    "nan": "a,b,Label\n1,nan,0\n3,4,1\n",
+    "inf": "a,b,Label\ninf,2,0\n3,-inf,1\n",
+    "underscore": "a,b,Label\n1_0,2,0\n3,4,1\n",
+    "spaces": "a,b,Label\n 1,2 ,0\n3,\t4\t, 1 \n",
+    "quoted_number": 'a,b,Label\n"1.5",2,0\n3,"4",1\n',
+    "quoted_category_comma": 'a,Label,Attack\n1,1,"DoS, slow"\n2,0," Benign "\n',
+    "quoted_category_quote": 'a,Label,Attack\n1,1,"say ""hi"""\n2,0,Benign\n',
+    "quoted_line_break": 'a,Label,Attack\n1,1,"two\nlines"\n2,0,Benign\n',
+    "short_row": "a,b,Label\n1,2,0\n3,4\n",
+    "extra_columns": "a,b,Label\n1,2,0,x,y\n3,4,1\n",
+    "crlf": "a,b,Label,Attack\r\n1,2,0,Benign\r\n3,4,1,DoS\r\n",
+    "cr_only": "a,b,Label\r1,2,0\r3,4,1\r",
+    "no_trailing_newline": "a,b,Label\n1,2,0\n3,4,1",
+    "header_only": "a,b,Label\n",
+    "header_without_newline": "a,b,Label",
+    "text_labels": "a,Label\n1,Benign\n2, benign\n3,Exploits\n4,1\n",
+    "dropped_column": "IPV4_SRC_ADDR,a,Label\n10.0.0.1,1,0\n10.0.0.2,2,1\n",
+    "no_feature_columns": "IPV4_SRC_ADDR,Label\n10.0.0.1,0\n10.0.0.2,1\n",
+    "many_bad_rows": "a,Label\n" + "x,0\n" * 25 + "1,0\n",
+}
+
+
+class TestLoadCsvMatchesPerRowOracle:
+    @pytest.mark.parametrize("case", sorted(LOAD_CASES))
+    def test_same_result_or_same_error(self, tmp_path, case):
+        p = tmp_path / "d.csv"
+        p.write_bytes(LOAD_CASES[case].encode("utf-8"))
+        try:
+            expected = per_row_load(p, drop_columns=data.DEFAULT_DROP_COLUMNS)
+        except DataError as e:
+            with pytest.raises(DataError) as got:
+                data.load_csv(p)
+            assert str(got.value) == str(e)
+            return
+        ds = data.load_csv(p)
+        columns, rows, labels, categories = expected
+        assert ds.columns == columns
+        assert ds.rows.dtype == np.float64 and ds.rows.shape == rows.shape
+        assert np.array_equal(ds.rows, rows)
+        assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, labels)
+        assert ds.categories == categories
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("a,Label\n1,0\n2,0\n", 2),
+            ("a,Label\r\n1,0\r\n2,0", 2),
+            ("a,Label\r1,0\r\r2,0\n", 3),
+            ("a,Label\n", 0),
+            ("a,Label", 0),
+            ("a,Label\n1,0\x00\n", None),
+        ],
+    )
+    def test_data_lines_count_every_line_end(self, tmp_path, text, lines):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert data._data_lines(p) == lines
+
+    def test_many_bad_rows_list_is_truncated(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(LOAD_CASES["many_bad_rows"], encoding="utf-8")
+        with pytest.raises(DataError, match=r"indices 0, 1, .*, 19$"):
+            data.load_csv(p)
+
+    def test_clean_table_skips_the_per_row_loop(self, tmp_path, monkeypatch):
+        p = tmp_path / "d.csv"
+        ds = data.synth_generate(300, 30, 4, 0.5, seed=2)
+        data.save_csv(ds, p)
+
+        def fail(*args):
+            raise AssertionError("per-row parse ran on a clean table")
+
+        monkeypatch.setattr(data, "_parse_rows", fail)
+        back = data.load_csv(p)
+        assert np.array_equal(back.rows, ds.rows)
+        assert back.categories == ds.categories
+
+
+class TestSaveCsvMatchesPerRowOracle:
+    @pytest.mark.parametrize("with_categories", [True, False])
+    def test_bytes_equal_oracle(self, tmp_path, with_categories):
+        ds = data.synth_generate(200, 40, 5, 0.6, seed=3)
+        if not with_categories:
+            ds.categories = None
+        data.save_csv(ds, tmp_path / "new.csv")
+        per_row_save(ds, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_categories_that_need_quoting(self, tmp_path):
+        ds = data.LabeledDataset(
+            columns=["a", "b"],
+            rows=np.array([[0.1, 1e-300], [2.0, -0.0], [1 / 3, 5e20]]),
+            labels=np.array([1, 0, 1]),
+            categories=['DoS, slow', 'say "hi"', ""],
+        )
+        data.save_csv(ds, tmp_path / "new.csv")
+        per_row_save(ds, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        back = data.load_csv(tmp_path / "new.csv", drop_columns=[])
+        assert np.array_equal(back.rows, ds.rows)
+        assert back.categories == ds.categories
 
 
 class TestScaler:

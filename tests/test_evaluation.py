@@ -123,6 +123,20 @@ class TestRocAuc:
         assert auc == pytest.approx(pairwise_auc(labels, scores), abs=1e-12)
         assert auc == pytest.approx(trapezoid_auc(labels, scores), abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_heavy_ties_match_pairwise_and_trapezoid(self, seed):
+        r = np.random.default_rng(seed)
+        labels = r.integers(0, 2, size=300)
+        scores = r.integers(0, 5, size=300).astype(float)  # five tied blocks
+        auc = roc_auc(labels, scores)
+        assert auc == pytest.approx(pairwise_auc(labels, scores), abs=1e-12)
+        assert auc == pytest.approx(trapezoid_auc(labels, scores), abs=1e-9)
+
+    def test_infinite_scores_tie_like_finite_ones(self):
+        labels = np.array([0, 1, 0, 1, 1, 0])
+        scores = np.array([-np.inf, -np.inf, 1.0, np.inf, np.inf, np.inf])
+        assert roc_auc(labels, scores) == pytest.approx(pairwise_auc(labels, scores), abs=1e-12)
+
     def test_complement_under_negation(self, rng):
         labels = np.array([0, 1] * 10)
         scores = rng.normal(size=20)
