@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import os
 import sys
@@ -25,10 +24,6 @@ EXIT_OK = 0
 EXIT_FLAG = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
-
-# Rows parsed and scored per batch by `score`. Peak memory grows with it
-# while the wall time is flat from 64 rows up.
-SCORE_CHUNK_ROWS = 64
 
 
 class CliError(Exception):
@@ -140,47 +135,25 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_features(rows: list[list[str]], feature_idx: list[int]) -> np.ndarray:
-    """Feature columns of the leading good rows of ``rows`` as a float
-    array; parsing stops at the first row with a missing, unparseable or
-    non-finite feature, so ``len(result) < len(rows)`` marks that row."""
-    values = []
-    for rec in rows:
-        try:
-            values.append([float(rec[i]) for i in feature_idx])
-        except (ValueError, IndexError):
-            break
-    x = np.array(values, dtype=np.float64).reshape(len(values), len(feature_idx))
-    finite = np.isfinite(x).all(axis=1)
-    return x if finite.all() else x[: int(np.argmin(finite))]
-
-
 def cmd_score(args) -> int:
     model = pipeline.load(args.model)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    with open(args.input, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{args.input}: file is empty")
+    with data.open_csv(args.input) as (header, reader):
         feature_idx = data.feature_indices(
             header, args.label_column, args.category_column, _drop_list(args)
         )
         columns = [header[i] for i in feature_idx]
         pipeline.check_schema(model, columns)
         writer.writerow(header + ["score", "verdict"])
-        rownum = 0
-        while chunk := list(itertools.islice(reader, SCORE_CHUNK_ROWS)):
-            x = _parse_features(chunk, feature_idx)
-            scores = pipeline.score_batch(model, x)
+        for start, records, x, bad in data.read_chunks(reader, feature_idx, max(feature_idx) + 1):
+            n_good = bad[0] - start if bad else len(records)
+            scores = pipeline.score_batch(model, x[:n_good])
             labels = pipeline.verdict_labels(model, scores)
             writer.writerows(
-                rec + [s, label] for rec, s, label in zip(chunk, scores.tolist(), labels)
+                rec + [s, label] for rec, s, label in zip(records, scores.tolist(), labels)
             )
-            if len(x) < len(chunk):
-                raise DataError(f"{args.input}: unparseable row at index {rownum + len(x)}")
-            rownum += len(chunk)
+            if bad:
+                raise DataError(f"{args.input}: unparseable row at index {bad[0]}")
     return EXIT_OK
 
 

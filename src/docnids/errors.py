@@ -7,7 +7,7 @@ ModelFormatError / SchemaMismatchError -> 4, TrainingDivergedError -> 2
 
 
 class DataError(ValueError):
-    """Malformed or unusable input data (CSV parse failures, bad labels)."""
+    """Unusable input data: not UTF-8, unreadable CSV, bad rows or columns."""
 
 
 class ModelFormatError(ValueError):

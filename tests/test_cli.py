@@ -1,10 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from docnids import cli, data, pipeline
+from docnids.errors import DataError
 from docnids.hbos import HistogramSet
 from docnids.nn import MlpParams
 
@@ -138,7 +144,7 @@ class TestScore:
         header = out[0].split(",")
         si, vi = header.index("score"), header.index("verdict")
         # 460 rows span several chunks and end in a partial one
-        assert len(out) == 1 + 460 and 460 % cli.SCORE_CHUNK_ROWS != 0
+        assert len(out) == 1 + 460 and 460 % data.CHUNK_ROWS != 0
         for row_text, x in zip(out[1:], ds.rows):
             parts = row_text.split(",")
             verdict = pipeline.classify(model, x)
@@ -148,7 +154,7 @@ class TestScore:
     @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "missing"])
     @pytest.mark.parametrize(
         "index",
-        [0, cli.SCORE_CHUNK_ROWS - 1, cli.SCORE_CHUNK_ROWS, 459],
+        [0, data.CHUNK_ROWS - 1, data.CHUNK_ROWS, 459],
         ids=["first", "chunk_end", "chunk_start", "last"],
     )
     def test_bad_row_exits_3_after_good_prefix(
@@ -167,6 +173,39 @@ class TestScore:
         assert code == 3
         assert f"unparseable row at index {index}" in captured.err
         assert captured.out == "".join(good_out[: 1 + index])
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "empty", "short"])
+    @pytest.mark.parametrize("index", [0, data.CHUNK_ROWS - 1, data.CHUNK_ROWS, 459])
+    def test_load_csv_and_score_name_the_same_bad_row(
+        self, dataset_csv, model_file, tmp_path, capsys, index, bad
+    ):
+        lines = dataset_csv.read_text().splitlines(keepends=True)
+        fields = lines[1 + index].split(",")
+        cell = "" if bad == "empty" else bad
+        lines[1 + index] = "0.5\n" if bad == "short" else ",".join([cell] + fields[1:])
+        corrupt = tmp_path / "corrupt.csv"
+        corrupt.write_text("".join(lines))
+        with pytest.raises(DataError) as loaded:
+            data.load_csv(corrupt)
+        first = int(re.search(r"unparseable rows at indices (\d+)", str(loaded.value)).group(1))
+        assert run(["score", "--model", str(model_file), "--input", str(corrupt)]) == 3
+        assert capsys.readouterr().err == f"error: {corrupt}: unparseable row at index {first}\n"
+        assert first == index
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_scores_a_pipe(self, dataset_csv, model_file, capsys):
+        # A pipe can be read only once: the header and the rows must come
+        # from one open, or the rows the header read buffered are lost.
+        assert run(["score", "--model", str(model_file), "--input", str(dataset_csv)]) == 0
+        expected = capsys.readouterr().out
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["score", "--model", str(model_file), "--input", "/dev/stdin"]
+        child = subprocess.run(
+            [sys.executable, "-m", "docnids.cli", *argv], input=dataset_csv.read_bytes(),
+            capture_output=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.decode() == expected
 
     def test_empty_input_header_only(self, model_file, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -342,6 +381,55 @@ class TestErrorExits:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not (tmp_path / "m.doc").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_missing_category_cell_exits_3(self, tmp_path, capsys, command):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("f0,f1,Label,Attack\n0.1,0.2,0,Benign\n0.4,0.3,0\n")
+        code = run(_argv(command, flows, tmp_path))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {flows}: unparseable rows at indices 1\n"
+
+    @pytest.mark.parametrize("where", ["header", "late_row"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "score"])
+    def test_non_utf8_input_exits_3(
+        self, dataset_csv, model_file, tmp_path, capsys, command, where
+    ):
+        raw = bytearray(dataset_csv.read_bytes())
+        # a late row lies past the first 8 KiB, which the header read decodes
+        at = raw.index(b"Attack") if where == "header" else raw.index(b"\n", 20_000) + 1
+        assert where == "header" or at > 8192
+        raw[at] = 0xFF
+        flows = tmp_path / "flows.csv"
+        flows.write_bytes(bytes(raw))
+        code = run(_argv(command, flows, tmp_path, model_file))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {flows}: not UTF-8 text")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "score"])
+    def test_oversized_cell_exits_3(self, dataset_csv, model_file, tmp_path, capsys, command):
+        lines = dataset_csv.read_text().splitlines(keepends=True)
+        lines[1 + 5] = lines[1 + 5].rsplit(",", 1)[0] + "," + "x" * 140_000 + "\n"
+        # a bad row sends load_csv from the whole-table parse to the row reader
+        lines[1 + 2] = "abc," + lines[1 + 2].split(",", 1)[1]
+        flows = tmp_path / "flows.csv"
+        flows.write_text("".join(lines))
+        code = run(_argv(command, flows, tmp_path, model_file))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: {flows}: line 7: field larger than field limit (131072)\n"
+
+
+def _argv(command, flows, tmp_path, model_file=None):
+    """``command`` run on ``flows`` with the fewest flags it needs."""
+    extra = {
+        "train": ["--out", str(tmp_path / "m.doc"), "--epochs", "1", "--layer-dims", "6,10,4"],
+        "evaluate": ["--detectors", "hbos", "--k", "2"],
+        "score": ["--model", str(model_file)],
+    }[command]
+    return [command, "--input", str(flows), *extra]
 
 
 class TestSeedEnv:

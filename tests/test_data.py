@@ -134,6 +134,20 @@ LOAD_CASES = {
     "dropped_column": "IPV4_SRC_ADDR,a,Label\n10.0.0.1,1,0\n10.0.0.2,2,1\n",
     "no_feature_columns": "IPV4_SRC_ADDR,Label\n10.0.0.1,0\n10.0.0.2,1\n",
     "many_bad_rows": "a,Label\n" + "x,0\n" * 25 + "1,0\n",
+    "header_line_break": 'a,"b\nc",Label\n1,2,0\n3,4,1\n',
+}
+
+# Rows missing only their category cell, which per_row_load cannot take
+# (it reads that cell outside its bad-row check), with load_csv's error.
+SHORT_ROW_CASES = {
+    "missing_category": (
+        "f0,f1,Label,Attack\n0.1,0.2,0,Benign\n0.4,0.3,0\n",
+        "unparseable rows at indices 1",
+    ),
+    "missing_category_first_and_last": (
+        "f0,Label,Attack\n1,0\n2,1,DoS\n3,0,Benign\n4,1\n",
+        "unparseable rows at indices 0, 3",
+    ),
 }
 
 
@@ -173,6 +187,14 @@ class TestLoadCsvMatchesPerRowOracle:
         p.write_bytes(text.encode("utf-8"))
         assert data._data_lines(p) == lines
 
+    @pytest.mark.parametrize("case", sorted(SHORT_ROW_CASES))
+    def test_missing_category_cell_is_a_bad_row(self, tmp_path, case):
+        text, message = SHORT_ROW_CASES[case]
+        p = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(DataError) as got:
+            data.load_csv(p)
+        assert str(got.value) == f"{p}: {message}"
+
     def test_many_bad_rows_list_is_truncated(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text(LOAD_CASES["many_bad_rows"], encoding="utf-8")
@@ -187,10 +209,38 @@ class TestLoadCsvMatchesPerRowOracle:
         def fail(*args):
             raise AssertionError("per-row parse ran on a clean table")
 
-        monkeypatch.setattr(data, "_parse_rows", fail)
+        monkeypatch.setattr(data, "read_chunks", fail)
         back = data.load_csv(p)
         assert np.array_equal(back.rows, ds.rows)
         assert back.categories == ds.categories
+
+
+class TestReadChunks:
+    def test_chunks_split_good_and_bad_records(self):
+        lines = [f"{i},{i}.5,0" for i in range(130)]
+        lines[0] = "x,0.5,0"
+        lines[63] = "nan,1,0"
+        lines[64] = "64,1"  # short of width 3
+        lines[129] = ",1,0"
+        chunks = list(data.read_chunks(csv.reader(lines), [0, 1], 3))
+        assert [start for start, *_ in chunks] == [0, 64, 128]
+        assert [len(records) for _, records, _, _ in chunks] == [64, 64, 2]
+        assert [bad for *_, bad in chunks] == [[0, 63], [64], [129]]
+        x = np.vstack([x for _, _, x, _ in chunks])
+        good = [i for i in range(130) if i not in (0, 63, 64, 129)]
+        assert x.dtype == np.float64
+        assert np.array_equal(x, [[i, i + 0.5] for i in good])
+
+    def test_open_csv_names_the_file_on_unreadable_text(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,Label\n1,0\n\xff,1\n")
+        with pytest.raises(DataError, match=r"d\.csv: not UTF-8 text"):
+            with data.open_csv(p) as (header, reader):
+                list(reader)
+        p.write_text("a,Label\n1,0\n2," + "x" * 140_000 + "\n")
+        with pytest.raises(DataError, match=r"d\.csv: line 3: field larger than field limit"):
+            with data.open_csv(p) as (header, reader):
+                list(reader)
 
 
 class TestSaveCsvMatchesPerRowOracle:
