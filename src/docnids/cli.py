@@ -137,21 +137,30 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     model = pipeline.load(args.model)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    with data.open_csv(args.input) as (header, reader):
+    out = sys.stdout
+    writer = csv.writer(out, lineterminator="\n")
+    with data.open_csv(args.input) as (header, rest):
         feature_idx = data.feature_indices(
             header, args.label_column, args.category_column, _drop_list(args)
         )
         columns = [header[i] for i in feature_idx]
         pipeline.check_schema(model, columns)
         writer.writerow(header + ["score", "verdict"])
-        for start, records, x, bad in data.read_chunks(reader, feature_idx, max(feature_idx) + 1):
-            n_good = bad[0] - start if bad else len(records)
+        width = max(feature_idx) + 1
+        for start, lines, records, x, bad in data.read_chunks(rest, feature_idx, width):
+            n_good = bad[0] - start if bad else len(x)
             scores = pipeline.score_batch(model, x[:n_good])
             labels = pipeline.verdict_labels(model, scores)
-            writer.writerows(
-                rec + [s, label] for rec, s, label in zip(records, scores.tolist(), labels)
-            )
+            if records is None:
+                # csv.writer would write a raw line's cells back as they are.
+                out.write("".join([
+                    f"{line[:-1]},{s!r},{label}\n"
+                    for line, s, label in zip(lines, scores.tolist(), labels)
+                ]))
+            else:
+                writer.writerows(
+                    rec + [s, label] for rec, s, label in zip(records, scores.tolist(), labels)
+                )
             if bad:
                 raise DataError(f"{args.input}: unparseable row at index {bad[0]}")
     return EXIT_OK
@@ -224,6 +233,8 @@ def cmd_report(args) -> int:
             payload = json.load(f)
     except OSError as e:
         raise CliError(f"cannot read {args.json}: {e}", EXIT_FLAG)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{args.json}: not UTF-8 text ({e.reason})")
     except json.JSONDecodeError as e:
         raise DataError(f"{args.json}: not a valid report file: {e}")
     entries = payload.get("reports", []) if isinstance(payload, dict) else None
@@ -311,7 +322,15 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as e:
             return EXIT_FLAG if e.code not in (0, None) else EXIT_OK
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, a closed pipe raises below and not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout stopped reading, as `| head` does: a normal
+        # end. Point stdout at /dev/null so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -11,7 +11,9 @@ import contextlib
 import csv
 import io
 import itertools
+import operator
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,10 @@ DEFAULT_DROP_COLUMNS = (
 # The fixture every quantitative test pins to.
 STANDARD_FIXTURE = dict(n_benign=5000, n_attack=500, dims=16, shift=0.6, seed=42)
 
-# Rows per ``read_chunks`` chunk; `score` wall time is flat from 64 rows up.
+# Lines per ``read_chunks`` chunk. On 110k rows, ``load_csv`` time is
+# flat from 64 lines up while its peak memory grows with the chunk, and
+# `score` at 512 lines was at most a few tenths of a second faster but
+# held 0.7 MB more at its peak.
 CHUNK_ROWS = 64
 
 
@@ -93,129 +98,166 @@ def load_csv(
     """Load a labeled feature table, dropping identifier columns.
 
     Rows with unparseable numeric values are rejected; the error names
-    the offending row indices (0-based, counting data rows). The table is
-    parsed whole by ``_parse_table``; ``_parse_rows`` runs only when that
-    parse cannot vouch for its result, and it names the bad rows.
+    the offending row indices (0-based, counting data rows). Rows are read
+    by ``read_chunks``, so the bad-row rule is the one ``score`` applies.
     """
     drop = DEFAULT_DROP_COLUMNS if drop_columns is None else drop_columns
-    with open_csv(path) as (header, reader):
+    with open_csv(path) as (header, rest):
         if label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not found")
         feature_idx = feature_indices(header, label_column, category_column, drop)
-        text_idx = [header.index(label_column)]
-        if category_column in header:
-            text_idx.append(header.index(category_column))
-        parsed = None
-        # A header cell holding a line break spans lines; loadtxt skips one.
-        if feature_idx and not any("\n" in c or "\r" in c for c in header):
-            parsed = _parse_table(path, feature_idx, text_idx)
-        if parsed is None:
-            parsed = _parse_rows(path, reader, feature_idx, text_idx)
-    return LabeledDataset([header[i] for i in feature_idx], *parsed)
+        label_idx = header.index(label_column)
+        category_idx = header.index(category_column) if category_column in header else None
+        width = max([*feature_idx, label_idx, category_idx or 0]) + 1
+        xs, label_cells, categories, bad_rows = [], [], [], []
+        for start, lines, records, x, bad in read_chunks(rest, feature_idx, width):
+            if records is None:
+                # A raw line holds no quote or CR, so its cells are its commas' gaps.
+                good = [line[:-1].split(",") for line in lines]
+            else:
+                good = [r for n, r in enumerate(records, start) if n not in bad]
+            xs.append(x)
+            label_cells += map(operator.itemgetter(label_idx), good)
+            if category_idx is not None:
+                categories += map(operator.itemgetter(category_idx), good)
+            bad_rows += bad
+    if bad_rows:
+        shown = ", ".join(map(str, bad_rows[:20]))
+        raise DataError(f"{path}: unparseable rows at indices {shown}")
+    if not label_cells:
+        raise DataError(f"{path}: no data rows")
+    codes = {s: _parse_label(s) for s in set(label_cells)}
+    labels = np.fromiter(map(codes.__getitem__, label_cells), np.int64, len(label_cells))
+    return LabeledDataset(
+        [header[i] for i in feature_idx],
+        np.vstack(xs),
+        labels,
+        categories if category_idx is not None else None,
+    )
+
+
+@dataclass
+class CsvRest:
+    """The text of an open CSV file after its header record, for
+    ``read_chunks``. ``line_num`` counts the lines of the header and of
+    the raw-line chunks read so far, as ``csv.reader`` counts lines; after
+    a ``csv`` error, it is the line that error is on."""
+
+    file: Iterator[str]
+    line_num: int = 0
 
 
 @contextlib.contextmanager
 def open_csv(path):
-    """Open the CSV at ``path`` as ``(header, reader)``: its first record
-    and a ``csv.reader`` over the rest. Bytes that are not UTF-8 and ``csv``
-    errors (a cell over ``csv.field_size_limit()``, a NUL byte before
-    Python 3.11) raise DataError here and in reads within the block."""
+    """Open the CSV at ``path`` as ``(header, rest)``: its first record,
+    read by ``csv.reader``, and a ``CsvRest`` over the lines after it.
+    Bytes that are not UTF-8 and ``csv`` errors (a cell over
+    ``csv.field_size_limit()``, a NUL byte before Python 3.11) raise
+    DataError here and in reads within the block."""
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        rest = CsvRest(f)
         try:
-            header = next(reader, None)
+            reader = csv.reader(f)
+            try:
+                header = next(reader, None)
+            finally:
+                rest.line_num = reader.line_num
             if header is None:
                 raise DataError(f"{path}: file is empty")
-            yield header, reader
+            yield header, rest
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
         except csv.Error as e:
-            raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+            raise DataError(f"{path}: line {rest.line_num}: {e}") from None
 
 
-def read_chunks(reader, feature_idx: list[int], width: int):
-    """Yield ``(start, records, x, bad)`` for each ``CHUNK_ROWS`` records
-    of ``reader``: the data row index of the first, the records, the
+def read_chunks(rest: CsvRest, feature_idx: list[int], width: int):
+    """Yield ``(start, lines, records, x, bad)`` for each ``CHUNK_ROWS``
+    rows of ``rest``: the data row index of the first, the rows, the
     float64 ``feature_idx`` cells of the good ones and the indices of the
-    bad ones. A record is bad if it has fewer than ``width`` cells or a
-    feature that ``float`` rejects or that is not finite."""
+    bad ones. A row is bad if it has fewer than ``width`` cells or a
+    feature that ``float`` rejects or that is not finite.
+
+    Chunks are read as raw lines. While ``_raw_features`` vouches for a
+    chunk, it comes as ``lines``, each one good row ending in ``\n``, and
+    ``records`` is None. The first chunk it cannot vouch for, and every
+    row after it, is read by ``csv.reader`` into ``records`` with
+    ``lines`` None: that path alone names bad rows and ``csv`` errors."""
     start = 0
-    while chunk := list(itertools.islice(reader, CHUNK_ROWS)):
-        values, parsed, bad = [], [], []
-        for i, rec in enumerate(chunk, start):
-            try:
-                if len(rec) < width:
-                    raise ValueError
-                values.append([float(rec[j]) for j in feature_idx])
-                parsed.append(i)
-            except ValueError:
-                bad.append(i)
-        x = np.array(values, dtype=np.float64).reshape(len(values), len(feature_idx))
-        finite = np.isfinite(x).all(axis=1)
-        yield start, chunk, x[finite], sorted([*bad, *itertools.compress(parsed, ~finite)])
-        start += len(chunk)
+    while lines := list(itertools.islice(rest.file, CHUNK_ROWS)):
+        x = _raw_features(lines, feature_idx, width)
+        if x is None:
+            yield from _csv_chunks(rest, lines, start, feature_idx, width)
+            return
+        if not lines[-1].endswith("\n"):
+            lines[-1] += "\n"
+        rest.line_num += len(lines)
+        yield start, lines, None, x, []
+        start += len(lines)
 
 
-def _data_lines(path) -> int | None:
-    """Lines after a one-line header, counting CR, LF and CRLF line ends
-    as ``csv`` does, or None for a file holding a NUL byte."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    if b"\0" in buf:
+# A chunk holding any of these goes to csv.reader, which (with float) may
+# read it otherwise than split(",") and loadtxt: csv's quote and line
+# ends, NUL (a csv error before Python 3.11), and the ASCII separators,
+# which loadtxt strips as whitespace but float rejects.
+_CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _raw_features(lines: list[str], feature_idx: list[int], width: int):
+    """The float64 ``feature_idx`` cells of raw lines, or None unless every
+    line is one record of at least ``width`` cells that ``csv.reader``
+    and ``float`` would read to the same finite values."""
+    text = "".join(lines)
+    if (
+        not feature_idx
+        or any(c in text for c in _CSV_ONLY)
+        or max(map(len, lines)) > csv.field_size_limit()
+        # loadtxt demands the cells up to the last feature itself.
+        or (
+            width > feature_idx[-1] + 1
+            and min(map(str.count, lines, itertools.repeat(","))) < width - 1
+        )
+    ):
         return None
-    ends = buf.count(b"\n")
-    if b"\r" in buf:
-        ends += buf.count(b"\r") - buf.count(b"\r\n")
-    return ends + (not buf.endswith((b"\n", b"\r"))) - 1
-
-
-def _parse_table(path, feature_idx: list[int], text_idx: list[int]):
-    """Whole-table parse with ``np.loadtxt``: ``(rows, labels,
-    categories)``, or None where the result might differ from
-    ``_parse_rows``.
-
-    ``loadtxt`` skips empty lines, which ``_parse_rows`` rejects, and
-    joins quoted line breaks into one row; either makes the row count
-    differ from the line count. It also rejects some numbers ``float``
-    accepts (``1_0``), and NaN or infinity parse here but are bad rows.
-    """
-    n = _data_lines(path)
-    if not n:
-        return None
-    common = dict(
-        delimiter=",", skiprows=1, comments=None, quotechar='"', ndmin=2, encoding="utf-8"
-    )
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(path, dtype=np.float64, usecols=feature_idx, **common)
-            text = np.loadtxt(path, dtype=str, usecols=text_idx, **common)
+            x = np.loadtxt(
+                lines, dtype=np.float64, delimiter=",", usecols=feature_idx,
+                comments=None, ndmin=2,
+            )
     except (ValueError, Warning):
         return None
-    if len(rows) != n or len(text) != n or not np.isfinite(rows).all():
+    # loadtxt skips blank lines, which csv reads as empty records.
+    if len(x) != len(lines) or not np.isfinite(x).all():
         return None
-    names, inverse = np.unique(text[:, 0], return_inverse=True)
-    labels = np.array([_parse_label(s) for s in names.tolist()], dtype=np.int64)
-    categories = text[:, 1].tolist() if len(text_idx) == 2 else None
-    return rows, labels[inverse.reshape(-1)], categories
+    return x
 
 
-def _parse_rows(path, reader, feature_idx: list[int], text_idx: list[int]):
-    """Parse the data rows left in ``reader`` through ``read_chunks``,
-    naming every bad row of ``path``. Returns ``(rows, labels, categories)``."""
-    xs, text, bad_rows = [], [], []
-    width = max(feature_idx + text_idx) + 1
-    for start, records, x, bad in read_chunks(reader, feature_idx, width):
-        xs.append(x)
-        text += [[r[i] for i in text_idx] for n, r in enumerate(records, start) if n not in bad]
-        bad_rows += bad
-    if bad_rows:
-        shown = ", ".join(map(str, bad_rows[:20]))
-        raise DataError(f"{path}: unparseable rows at indices {shown}")
-    if not text:
-        raise DataError(f"{path}: no data rows")
-    labels = np.array([_parse_label(t[0]) for t in text], dtype=np.int64)
-    return np.vstack(xs), labels, [t[1] for t in text] if len(text_idx) == 2 else None
+def _csv_chunks(rest: CsvRest, lines: list[str], start: int, feature_idx, width: int):
+    """``read_chunks``' ``csv.reader`` path over ``lines`` and the rest of
+    the file."""
+    reader = csv.reader(itertools.chain(lines, rest.file))
+    base = rest.line_num
+    try:
+        while records := list(itertools.islice(reader, CHUNK_ROWS)):
+            values, parsed, bad = [], [], []
+            for i, rec in enumerate(records, start):
+                try:
+                    if len(rec) < width:
+                        raise ValueError
+                    values.append([float(rec[j]) for j in feature_idx])
+                    parsed.append(i)
+                except ValueError:
+                    bad.append(i)
+            x = np.array(values, dtype=np.float64).reshape(len(values), len(feature_idx))
+            finite = np.isfinite(x).all(axis=1)
+            bad = sorted([*bad, *itertools.compress(parsed, ~finite)])
+            yield start, None, records, x[finite], bad
+            start += len(records)
+    except csv.Error:
+        rest.line_num = base + reader.line_num
+        raise
 
 
 def _csv_line(cells) -> str:

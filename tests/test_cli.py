@@ -174,7 +174,8 @@ class TestScore:
         assert f"unparseable row at index {index}" in captured.err
         assert captured.out == "".join(good_out[: 1 + index])
 
-    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "empty", "short"])
+    # "\x1c1": float rejects it, where np.loadtxt strips the separator
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "empty", "short", "\x1c1"])
     @pytest.mark.parametrize("index", [0, data.CHUNK_ROWS - 1, data.CHUNK_ROWS, 459])
     def test_load_csv_and_score_name_the_same_bad_row(
         self, dataset_csv, model_file, tmp_path, capsys, index, bad
@@ -391,7 +392,7 @@ class TestErrorExits:
         assert capsys.readouterr().err == f"error: {flows}: unparseable rows at indices 1\n"
 
     @pytest.mark.parametrize("where", ["header", "late_row"])
-    @pytest.mark.parametrize("command", ["train", "evaluate", "score"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "score", "report"])
     def test_non_utf8_input_exits_3(
         self, dataset_csv, model_file, tmp_path, capsys, command, where
     ):
@@ -421,9 +422,61 @@ class TestErrorExits:
         assert code == 3
         assert err == f"error: {flows}: line 7: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_oversized_cell_in_a_clean_table_exits_3(
+        self, dataset_csv, tmp_path, capsys, command
+    ):
+        lines = dataset_csv.read_text().splitlines(keepends=True)
+        lines[1 + 5] = lines[1 + 5].rsplit(",", 1)[0] + "," + "x" * 140_000 + "\n"
+        flows = tmp_path / "flows.csv"
+        flows.write_text("".join(lines))
+        code = run(_argv(command, flows, tmp_path))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: {flows}: line 7: field larger than field limit (131072)\n"
+        assert not (tmp_path / "m.doc").exists()
+
+
+class TestClosedStdout:
+    """A reader that stops reading, as ``| head -1`` does, ends the
+    command normally: exit 0, and nothing on stderr."""
+
+    def _run_and_close_stdout(self, argv, read_first_line):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "docnids.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = child.stdout.readline() if read_first_line else b""
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        return first, child.wait(timeout=120), err.decode()
+
+    def test_score_into_a_closed_pipe_exits_0(self, dataset_csv, model_file, tmp_path):
+        # far more output than a pipe holds, so writes go on after the close
+        lines = dataset_csv.read_text().splitlines(keepends=True)
+        flows = tmp_path / "flows.csv"
+        flows.write_text(lines[0] + "".join(lines[1:]) * 20)
+        argv = ["score", "--model", str(model_file), "--input", str(flows)]
+        first, code, err = self._run_and_close_stdout(argv, read_first_line=True)
+        assert first.decode().endswith(",score,verdict\n")
+        assert (code, err) == (0, "")
+
+    def test_report_into_a_closed_pipe_exits_0(self, dataset_csv, tmp_path, capsys):
+        out_json = tmp_path / "r.json"
+        argv = ["evaluate", "--input", str(dataset_csv), "--detectors", "hbos"]
+        assert run([*argv, "--k", "3", "--out-json", str(out_json)]) == 0
+        capsys.readouterr()
+        # the table is one short write, so close before it is written
+        argv = ["report", "--json", str(out_json)]
+        assert self._run_and_close_stdout(argv, read_first_line=False) == (b"", 0, "")
+
 
 def _argv(command, flows, tmp_path, model_file=None):
     """``command`` run on ``flows`` with the fewest flags it needs."""
+    if command == "report":
+        return ["report", "--json", str(flows)]
     extra = {
         "train": ["--out", str(tmp_path / "m.doc"), "--epochs", "1", "--layer-dims", "6,10,4"],
         "evaluate": ["--detectors", "hbos", "--k", "2"],

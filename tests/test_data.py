@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from docnids import data
+from docnids import cli, data, pipeline
 from docnids.errors import DataError
 
 
@@ -135,6 +140,7 @@ LOAD_CASES = {
     "no_feature_columns": "IPV4_SRC_ADDR,Label\n10.0.0.1,0\n10.0.0.2,1\n",
     "many_bad_rows": "a,Label\n" + "x,0\n" * 25 + "1,0\n",
     "header_line_break": 'a,"b\nc",Label\n1,2,0\n3,4,1\n',
+    "ascii_separator": "a,b,Label\n\x1c1,2,0\n3,4,1\n",
 }
 
 # Rows missing only their category cell, which per_row_load cannot take
@@ -171,22 +177,6 @@ class TestLoadCsvMatchesPerRowOracle:
         assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, labels)
         assert ds.categories == categories
 
-    @pytest.mark.parametrize(
-        "text, lines",
-        [
-            ("a,Label\n1,0\n2,0\n", 2),
-            ("a,Label\r\n1,0\r\n2,0", 2),
-            ("a,Label\r1,0\r\r2,0\n", 3),
-            ("a,Label\n", 0),
-            ("a,Label", 0),
-            ("a,Label\n1,0\x00\n", None),
-        ],
-    )
-    def test_data_lines_count_every_line_end(self, tmp_path, text, lines):
-        p = tmp_path / "d.csv"
-        p.write_bytes(text.encode("utf-8"))
-        assert data._data_lines(p) == lines
-
     @pytest.mark.parametrize("case", sorted(SHORT_ROW_CASES))
     def test_missing_category_cell_is_a_bad_row(self, tmp_path, case):
         text, message = SHORT_ROW_CASES[case]
@@ -207,12 +197,17 @@ class TestLoadCsvMatchesPerRowOracle:
         data.save_csv(ds, p)
 
         def fail(*args):
-            raise AssertionError("per-row parse ran on a clean table")
+            raise AssertionError("csv path ran on a clean table")
 
-        monkeypatch.setattr(data, "read_chunks", fail)
+        monkeypatch.setattr(data, "_csv_chunks", fail)
         back = data.load_csv(p)
         assert np.array_equal(back.rows, ds.rows)
         assert back.categories == ds.categories
+
+
+def raw_lines(lines):
+    """``lines`` as ``read_chunks`` takes them: the text after a header."""
+    return data.CsvRest(iter([line + "\n" for line in lines]), line_num=1)
 
 
 class TestReadChunks:
@@ -222,25 +217,168 @@ class TestReadChunks:
         lines[63] = "nan,1,0"
         lines[64] = "64,1"  # short of width 3
         lines[129] = ",1,0"
-        chunks = list(data.read_chunks(csv.reader(lines), [0, 1], 3))
+        chunks = list(data.read_chunks(raw_lines(lines), [0, 1], 3))
         assert [start for start, *_ in chunks] == [0, 64, 128]
-        assert [len(records) for _, records, _, _ in chunks] == [64, 64, 2]
+        assert [len(records) for _, _, records, _, _ in chunks] == [64, 64, 2]
         assert [bad for *_, bad in chunks] == [[0, 63], [64], [129]]
-        x = np.vstack([x for _, _, x, _ in chunks])
+        x = np.vstack([x for _, _, _, x, _ in chunks])
         good = [i for i in range(130) if i not in (0, 63, 64, 129)]
         assert x.dtype == np.float64
         assert np.array_equal(x, [[i, i + 0.5] for i in good])
+
+    def test_raw_lines_until_the_first_chunk_csv_must_read(self):
+        lines = [f"{i},{i}.5,0" for i in range(200)]
+        lines[150] = '"150",150.5,0'
+        lines[199] = "199,199.5"  # no final newline
+        rest = raw_lines(lines)
+        chunks = list(data.read_chunks(rest, [0, 1], 3))
+        assert [start for start, *_ in chunks] == [0, 64, 128, 192]
+        # the first two chunks come as raw lines, the rest through csv
+        assert [records is None for _, _, records, _, _ in chunks] == [True, True, False, False]
+        assert chunks[1][1] == [line + "\n" for line in lines[64:128]]
+        assert chunks[2][2][150 - 128] == ["150", "150.5", "0"]
+        assert [bad for *_, bad in chunks] == [[], [], [], [199]]
+        assert rest.line_num == 1 + 128
+
+    @pytest.mark.parametrize(
+        "line", ['"1",2,0', "1,2,0\r", "\x001,2,0", "\x1c1,2,0", "1,2\x1f,0", "1_0,2,0", "1,nan,0"]
+    )
+    def test_a_line_raw_parsing_may_misread_goes_to_csv(self, line):
+        (chunk,) = data.read_chunks(raw_lines(["1,2,0"] * 3 + [line]), [0, 1], 3)
+        assert chunk[1] is None and chunk[2] is not None
 
     def test_open_csv_names_the_file_on_unreadable_text(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_bytes(b"a,Label\n1,0\n\xff,1\n")
         with pytest.raises(DataError, match=r"d\.csv: not UTF-8 text"):
-            with data.open_csv(p) as (header, reader):
-                list(reader)
+            with data.open_csv(p) as (header, rest):
+                list(data.read_chunks(rest, [0], 2))
         p.write_text("a,Label\n1,0\n2," + "x" * 140_000 + "\n")
         with pytest.raises(DataError, match=r"d\.csv: line 3: field larger than field limit"):
-            with data.open_csv(p) as (header, reader):
-                list(reader)
+            with data.open_csv(p) as (header, rest):
+                list(data.read_chunks(rest, [0], 2))
+
+    def test_csv_error_line_counts_the_raw_lines_before_it(self, tmp_path):
+        p = tmp_path / "d.csv"
+        rows = [f"{i},0\n" for i in range(100)]
+        rows[70] = "70," + "x" * 140_000 + "\n"
+        p.write_text('"a\nb",Label\n' + "".join(rows))
+        with pytest.raises(DataError, match=r"d\.csv: line 73: field larger than field limit"):
+            with data.open_csv(p) as (header, rest):
+                list(data.read_chunks(rest, [0], 2))
+
+
+def per_row_score(path, model):
+    """Oracle: score's stdout, exit code and stderr by csv.reader, float()
+    and csv.writer row by row. It writes the rows before the first bad
+    one, then names that one."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        feature_idx = data.feature_indices(header, "Label", "Attack", data.DEFAULT_DROP_COLUMNS)
+        writer.writerow(header + ["score", "verdict"])
+        for n, rec in enumerate(reader):
+            try:
+                x = np.array([[float(rec[i]) for i in feature_idx]])
+            except (ValueError, IndexError):
+                x = np.array([[np.nan]])
+            if not np.isfinite(x).all():
+                return out.getvalue(), 3, f"error: {path}: unparseable row at index {n}\n"
+            score = float(pipeline.score_batch(model, x)[0])
+            writer.writerow(rec + [score, pipeline.verdict_labels(model, score)])
+    return out.getvalue(), 0, ""
+
+
+HEADERS = [["a", "b", "Label", "Attack"], ["Label", "a", "b"]]
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-999, 999).map(str)
+)
+TEXT = {"Label": st.sampled_from(["0", "1", "Benign", " benign", "DoS"]),
+        "Attack": st.sampled_from(["Benign", "DoS", "Port scan"])}
+# Cells that csv.reader, float and np.loadtxt might each read otherwise.
+ODD_CELLS = {
+    "feature": ["1_0", "nan", "inf", "-inf", "\x00", "1\x00", "\x1c1", "2\x1f", "\x1e",
+                "\xa01", "\u0661", " 3 ", "", "abc", '"4"', '"5,6"', '"7\n8"', '9"0'],
+    "Attack": ['"DoS, slow"', '"say ""hi"""', '"two\nlines"', "", "\x1d"],
+}
+
+
+@st.composite
+def csv_files(draw):
+    """A small CSV text: clean rows, one to three odd ones anywhere, LF
+    line ends or a mix of LF, CRLF and CR, and maybe no final newline."""
+    header = draw(st.sampled_from(HEADERS))
+
+    def row():
+        return [draw(TEXT.get(name, NUMBER)) for name in header]
+
+    rows = [row() for _ in range(draw(st.integers(0, 20)))]
+    for _ in range(draw(st.integers(1, 3))):
+        cells = row()
+        kind = draw(st.sampled_from(["feature", "Attack", "blank", "short"]))
+        if kind == "blank":
+            cells = []
+        elif kind == "short":
+            # cut before the label, which per_row_load reads inside its check
+            cells = cells[: draw(st.integers(1, header.index("Label") or 2))]
+        elif kind in header:
+            cells[header.index(kind)] = draw(st.sampled_from(ODD_CELLS[kind]))
+        else:
+            cells[header.index(draw(st.sampled_from(["a", "b"])))] = draw(
+                st.sampled_from(ODD_CELLS["feature"])
+            )
+        rows.insert(draw(st.integers(0, len(rows))), cells)
+    ends = ["\n"] * (len(rows) + 1)
+    if draw(st.booleans()):
+        ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in ends]
+    text = "".join(",".join(cells) + end for cells, end in zip([header, *rows], ends))
+    return text[: -len(ends[-1])] if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def ab_model(tmp_path_factory):
+    d = tmp_path_factory.mktemp("ab")
+    r = np.random.default_rng(0)
+    rows = "".join(f"{a!r},{b!r},0,Benign\n" for a, b in r.random((200, 2)).tolist())
+    (d / "train.csv").write_text("a,b,Label,Attack\n" + rows)
+    argv = ["train", "--input", str(d / "train.csv"), "--out", str(d / "m.doc"),
+            "--epochs", "2", "--layer-dims", "2,4,2"]
+    assert cli.main(argv) == 0
+    return d / "m.doc"
+
+
+class TestRawLinesMatchCsvReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_files(), chunk=st.integers(1, 5))
+    def test_load_csv_and_score_match_the_per_row_oracles(self, ab_model, text, chunk):
+        p = ab_model.parent / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        # small chunks put chunk boundaries on each side of the odd rows
+        with mock.patch.object(data, "CHUNK_ROWS", chunk):
+            try:
+                expected = per_row_load(p, drop_columns=data.DEFAULT_DROP_COLUMNS)
+            except (DataError, csv.Error) as e:
+                # csv.Error: a NUL byte before Python 3.11
+                with pytest.raises(DataError) as got:
+                    data.load_csv(p)
+                assert str(got.value).endswith(str(e).split(": ")[-1])
+            else:
+                ds = data.load_csv(p)
+                assert ds.columns == expected[0]
+                assert np.array_equal(ds.rows, expected[1])
+                assert np.array_equal(ds.labels, expected[2])
+                assert ds.categories == expected[3]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["score", "--model", str(ab_model), "--input", str(p)])
+        try:
+            expected_out, expected_code, expected_err = per_row_score(p, pipeline.load(ab_model))
+        except csv.Error:
+            assert code == 3 and "line" in err.getvalue()
+            return
+        assert (out.getvalue(), code, err.getvalue()) == (expected_out, expected_code, expected_err)
 
 
 class TestSaveCsvMatchesPerRowOracle:
