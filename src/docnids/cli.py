@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
@@ -192,20 +191,11 @@ def cmd_evaluate(args) -> int:
         "input": str(args.input),
     }
 
-    reports = []
-    for name in names:
-        factory = functools.partial(evaluation.DETECTOR_FACTORIES[name], config, args.bins)
-        if args.protocol == "kfold":
-            report = evaluation.kfold_evaluate(
-                ds, factory, k=args.k, contamination=args.contamination,
-                seed=args.seed, config_echo=echo,
-            )
-        else:
-            report = evaluation.holdout_evaluate(
-                ds, factory, train_fraction=args.train_fraction,
-                contamination=args.contamination, seed=args.seed, config_echo=echo,
-            )
-        reports.append(report)
+    reports = evaluation.evaluate(
+        ds, names, config, bins=args.bins, protocol=args.protocol, k=args.k,
+        train_fraction=args.train_fraction, contamination=args.contamination,
+        seed=args.seed, config_echo=echo,
+    )
 
     table = evaluation.render_table(reports)
     print(table)

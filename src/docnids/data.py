@@ -302,7 +302,10 @@ def apply_scaler(p: ScalerParams, data: np.ndarray) -> np.ndarray:
         )
     span = p.maxs - p.mins
     safe = np.where(span > 0.0, span, 1.0)
-    out = (data - p.mins) / safe
+    # a value near the float64 limit overflows to +-inf, which the clip
+    # below maps to 1 or 0; nothing to warn about
+    with np.errstate(over="ignore"):
+        out = (data - p.mins) / safe
     out[..., span == 0.0] = 0.0
     return np.clip(out, 0.0, 1.0)
 

@@ -1,8 +1,9 @@
 """Metrics, ROC-AUC, the benign k-fold protocol, and baseline detectors.
 
 All detectors share one interface: fit on a scaled benign-only matrix,
-then score rows (higher = more anomalous). The harness owns fold
-construction, per-fold scaling, and thresholding, so every detector
+returning its scores, then score rows (higher = more anomalous). The
+harness owns fold construction, per-fold scaling, the per-fold network
+that ``doc`` and ``svdd`` share, and thresholding, so every detector
 sees identical data within a run.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import hbos, pipeline, svdd
 from .data import LabeledDataset, SplitSpec, apply_scaler, fit_scaler, split_benign
 from .errors import DataError
-from .svdd import SvddConfig
+from .svdd import SvddConfig, SvddModel
 
 METRIC_COLUMNS = ("accuracy", "f1", "auc", "dr", "far")
 
@@ -110,43 +111,44 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
 class Detector(Protocol):
     name: str
 
-    def fit(self, benign: np.ndarray) -> None: ...
+    def fit(self, benign: np.ndarray) -> np.ndarray:
+        """Fit on scaled benign rows and return their scores."""
+        ...
 
     def scores(self, x: np.ndarray) -> np.ndarray: ...
 
 
 class DocDetector:
-    """Embedding contraction followed by histogram scoring."""
+    """Histogram scoring of the embeddings of a trained network."""
 
     name = "doc"
 
-    def __init__(self, config: SvddConfig | None = None, bins: int = 10):
-        self.config = config or SvddConfig()
+    def __init__(self, network: SvddModel, bins: int = 10):
+        self.network = network
         self.bins = bins
-        self.model = None
         self.hist = None
 
-    def fit(self, benign: np.ndarray) -> None:
-        self.model, self.hist, _ = pipeline.fit_core(self.config, benign, self.bins)
+    def fit(self, benign: np.ndarray) -> np.ndarray:
+        self.hist, train_scores = pipeline.fit_core(self.network, benign, self.bins)
+        return train_scores
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        return pipeline.scaled_scores(self.model, self.hist, x)
+        return pipeline.scaled_scores(self.network, self.hist, x)
 
 
 class SvddDetector:
-    """Standalone embedding network scored by squared center distance."""
+    """A trained network scored by squared center distance."""
 
     name = "svdd"
 
-    def __init__(self, config: SvddConfig | None = None):
-        self.config = config or SvddConfig()
-        self.model = None
+    def __init__(self, network: SvddModel):
+        self.network = network
 
-    def fit(self, benign: np.ndarray) -> None:
-        self.model = svdd.train(self.config, benign)
+    def fit(self, benign: np.ndarray) -> np.ndarray:
+        return self.scores(benign)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        return svdd.distance_score_batch(self.model, x)
+        return svdd.distance_score_batch(self.network, x)
 
 
 class HbosRawDetector:
@@ -158,8 +160,9 @@ class HbosRawDetector:
         self.bins = bins
         self.hist = None
 
-    def fit(self, benign: np.ndarray) -> None:
+    def fit(self, benign: np.ndarray) -> np.ndarray:
         self.hist = hbos.fit_histograms(benign, self.bins)
+        return self.scores(benign)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return hbos.hbos_score_batch(self.hist, x)
@@ -176,7 +179,7 @@ class PcaDetector:
         self.mean = None
         self.components = None  # (m, d), rows orthonormal
 
-    def fit(self, benign: np.ndarray) -> None:
+    def fit(self, benign: np.ndarray) -> np.ndarray:
         benign = np.asarray(benign, dtype=np.float64)
         self.mean = benign.mean(axis=0)
         centered = benign - self.mean
@@ -193,6 +196,7 @@ class PcaDetector:
             m = int(np.searchsorted(ratio, self.variance_target) + 1)
         m = max(1, min(m, rank if rank else 1))
         self.components = evecs[:, :m].T
+        return self.scores(benign)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         centered = np.asarray(x, dtype=np.float64) - self.mean
@@ -201,13 +205,16 @@ class PcaDetector:
         return (residual**2).sum(axis=1)
 
 
-# Each detector built from the shared network config and histogram bin count.
-DETECTOR_FACTORIES: dict[str, Callable[[SvddConfig, int], Detector]] = {
-    "doc": lambda config, bins: DocDetector(config, bins=bins),
-    "svdd": lambda config, bins: SvddDetector(config),
-    "hbos": lambda config, bins: HbosRawDetector(bins=bins),
-    "pca": lambda config, bins: PcaDetector(),
+# Each detector built from the fold's trained network (None when no
+# requested detector uses one) and the histogram bin count.
+DETECTOR_FACTORIES: dict[str, Callable[[SvddModel | None, int], Detector]] = {
+    "doc": lambda network, bins: DocDetector(network, bins=bins),
+    "svdd": lambda network, bins: SvddDetector(network),
+    "hbos": lambda network, bins: HbosRawDetector(bins=bins),
+    "pca": lambda network, bins: PcaDetector(),
 }
+# The detectors that score with the network, which is trained once per fold.
+NETWORK_DETECTORS = frozenset({"doc", "svdd"})
 
 
 @dataclass
@@ -268,23 +275,42 @@ class EvalReport:
 
 
 def _evaluate_fold(
-    detector: Detector,
     fold: int,
     train_x: np.ndarray,
     test_x: np.ndarray,
     test_y: np.ndarray,
+    detectors: list[str],
+    config: SvddConfig,
+    bins: int,
     contamination: float,
-) -> FoldResult:
+) -> list[tuple[FoldResult, float]]:
+    """Fit the scaler, scale the rows and train the network once, if some
+    detector uses it; then fit, threshold and score each detector.
+
+    Returns one (result, seconds) pair per detector, in order. A
+    detector's seconds count the shared scaling, the training if it uses
+    the network, and its own fit and scoring. The fold's arrays live only
+    in this call."""
+    start = time.perf_counter()
     scaler = fit_scaler(train_x)
     train_scaled = apply_scaler(scaler, train_x)
     test_scaled = apply_scaler(scaler, test_x)
-    detector.fit(train_scaled)
-    train_scores = detector.scores(train_scaled)
-    threshold = pipeline.threshold_from_scores(train_scores, contamination)
-    test_scores = detector.scores(test_scaled)
-    preds = (test_scores > threshold).astype(np.int64)
-    cm = confusion(test_y, preds)
-    return FoldResult(fold=fold, cm=cm, metrics=metrics(cm), auc=roc_auc(test_y, test_scores))
+    scaled_at = time.perf_counter()
+    network = None
+    if NETWORK_DETECTORS.intersection(detectors):
+        network = svdd.train(config, train_scaled)
+    trained_at = time.perf_counter()
+    out = []
+    for name in detectors:
+        own_start = time.perf_counter()
+        detector = DETECTOR_FACTORIES[name](network, bins)
+        threshold = pipeline.threshold_from_scores(detector.fit(train_scaled), contamination)
+        test_scores = detector.scores(test_scaled)
+        cm = confusion(test_y, (test_scores > threshold).astype(np.int64))
+        result = FoldResult(fold=fold, cm=cm, metrics=metrics(cm), auc=roc_auc(test_y, test_scores))
+        shared = (trained_at if name in NETWORK_DETECTORS else scaled_at) - start
+        out.append((result, shared + time.perf_counter() - own_start))
+    return out
 
 
 def benign_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
@@ -298,80 +324,65 @@ def benign_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return np.array_split(rng.permutation(benign_idx), k)
 
 
-def kfold_evaluate(
+def evaluate(
     ds: LabeledDataset,
-    detector_factory: Callable[[], Detector],
+    detectors: list[str],
+    config: SvddConfig | None = None,
+    bins: int = 10,
+    protocol: str = "kfold",
     k: int = 5,
-    contamination: float = 0.1,
-    seed: int = 0,
-    config_echo: dict | None = None,
-) -> EvalReport:
-    """Benign k-fold protocol: benign rows are partitioned into k seeded
-    folds; each fold trains on the other k-1 benign folds and tests on
-    its own benign fold plus every attack row."""
-    if ds.n_attack == 0:
-        raise DataError("dataset contains no attack rows")
-    start = time.perf_counter()
-    folds = benign_folds(ds.labels, k, seed)
-    attack_idx = np.flatnonzero(ds.labels == 1)
-    results = []
-    for i, test_benign in enumerate(folds):
-        if test_benign.size == 0:
-            raise DataError(f"fold {i} has zero benign test rows")
-        train_benign = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        test_idx = np.concatenate([test_benign, attack_idx])
-        detector = detector_factory()
-        results.append(
-            _evaluate_fold(
-                detector,
-                i,
-                ds.rows[train_benign],
-                ds.rows[test_idx],
-                ds.labels[test_idx],
-                contamination,
-            )
-        )
-    report = EvalReport(
-        detector=detector_factory().name,
-        protocol="kfold",
-        k=k,
-        contamination=contamination,
-        seed=seed,
-        config=config_echo or {},
-        folds=results,
-        wall_seconds=time.perf_counter() - start,
-    )
-    report.finalize()
-    return report
-
-
-def holdout_evaluate(
-    ds: LabeledDataset,
-    detector_factory: Callable[[], Detector],
     train_fraction: float = 0.7,
     contamination: float = 0.1,
     seed: int = 0,
     config_echo: dict | None = None,
-) -> EvalReport:
-    """Single benign train/test split with all attacks in the test set."""
+) -> list[EvalReport]:
+    """Evaluate the named detectors under one protocol; one report per
+    name, in the order given.
+
+    ``kfold``: benign rows are partitioned into k seeded folds; each fold
+    trains on the other k-1 benign folds and tests on its own benign fold
+    plus every attack row. ``holdout``: a single seeded benign train/test
+    split with every attack row in the test set. Per fold, the scaler is
+    fitted and the network trained once, and every detector uses them."""
     if ds.n_attack == 0:
         raise DataError("dataset contains no attack rows")
-    start = time.perf_counter()
-    train_x, test = split_benign(ds, SplitSpec(train_fraction, seed))
-    detector = detector_factory()
-    result = _evaluate_fold(detector, 0, train_x, test.rows, test.labels, contamination)
-    report = EvalReport(
-        detector=detector.name,
-        protocol="holdout",
-        k=1,
-        contamination=contamination,
-        seed=seed,
-        config=config_echo or {},
-        folds=[result],
-        wall_seconds=time.perf_counter() - start,
-    )
-    report.finalize()
-    return report
+    config = config or SvddConfig()
+    fold_args = (detectors, config, bins, contamination)
+    if protocol == "kfold":
+        folds = benign_folds(ds.labels, k, seed)
+        attack_idx = np.flatnonzero(ds.labels == 1)
+        per_fold = []
+        for i, test_benign in enumerate(folds):
+            if test_benign.size == 0:
+                raise DataError(f"fold {i} has zero benign test rows")
+            train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
+            test_idx = np.concatenate([test_benign, attack_idx])
+            per_fold.append(
+                _evaluate_fold(
+                    i, ds.rows[train_idx], ds.rows[test_idx], ds.labels[test_idx], *fold_args
+                )
+            )
+    elif protocol == "holdout":
+        k = 1
+        train_x, test = split_benign(ds, SplitSpec(train_fraction, seed))
+        per_fold = [_evaluate_fold(0, train_x, test.rows, test.labels, *fold_args)]
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    reports = []
+    for j, name in enumerate(detectors):
+        report = EvalReport(
+            detector=name,
+            protocol=protocol,
+            k=k,
+            contamination=contamination,
+            seed=seed,
+            config=config_echo or {},
+            folds=[fold[j][0] for fold in per_fold],
+            wall_seconds=sum(fold[j][1] for fold in per_fold),
+        )
+        report.finalize()
+        reports.append(report)
+    return reports
 
 
 def render_table(reports: list[EvalReport]) -> str:

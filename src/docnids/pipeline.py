@@ -50,17 +50,16 @@ def schema_hash(columns: list[str]) -> bytes:
 
 
 def fit_core(
-    config: SvddConfig, benign_scaled: np.ndarray, bins: int
-) -> tuple[SvddModel, HistogramSet, np.ndarray]:
-    """Train the embedding network, fit histograms on the training
-    embeddings, and return both plus the training scores. The scores are
-    those of ``scaled_scores``, taken from the embeddings already made
+    model: SvddModel, benign_scaled: np.ndarray, bins: int
+) -> tuple[HistogramSet, np.ndarray]:
+    """Fit histograms on the embeddings of the training rows under the
+    trained network, and return them plus the training scores. The scores
+    are those of ``scaled_scores``, taken from the embeddings already made
     for the histograms rather than from a second forward pass."""
-    model = svdd.train(config, benign_scaled)
     z = svdd.embed_batch(model, benign_scaled)
     hist = hbos.fit_histograms(z, bins)
     scores = hbos.hbos_score_batch(hist, z)
-    return model, hist, scores
+    return hist, scores
 
 
 def threshold_from_scores(scores: np.ndarray, contamination: float) -> float:
@@ -82,7 +81,8 @@ def fit(
     """
     if not 0.0 < contamination < 1.0:
         raise ValueError(f"contamination must be in (0, 1), got {contamination}")
-    model, hist, scores = fit_core(config, benign_scaled, bins)
+    model = svdd.train(config, benign_scaled)
+    hist, scores = fit_core(model, benign_scaled, bins)
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite training scores")
     return DocModel(

@@ -130,10 +130,13 @@ def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, batch {b}"
                     )
-                full_grads = nn.Gradients(
-                    layers=[g + config.weight_decay * w for g, w in zip(grads, params.layers)]
-                )
-                params = nn.sgd_step(params, full_grads, config.lr)
+                # nn.sgd_step on the gradient plus weight decay, done in place:
+                # the same arithmetic, without a new MlpParams or Gradients
+                for g, w in zip(grads, params.layers):
+                    g += config.weight_decay * w
+                    if not np.isfinite(g).all():
+                        raise ValueError("non-finite gradient entries")
+                    w -= config.lr * g
                 epoch_loss += loss * nb
             history.append((epoch, epoch_loss / n))
 

@@ -124,13 +124,8 @@ def test_criterion_5_threshold_property(fixture_ds, fixture_scaled, gamma):
 
 def test_criterion_6_end_to_end_detection(fixture_ds):
     start = time.perf_counter()
-    doc = evaluation.kfold_evaluate(
-        fixture_ds, lambda: evaluation.DocDetector(SvddConfig(seed=0)),
-        k=5, contamination=0.1, seed=0,
-    )
-    raw = evaluation.kfold_evaluate(
-        fixture_ds, lambda: evaluation.HbosRawDetector(),
-        k=5, contamination=0.1, seed=0,
+    doc, raw = evaluation.evaluate(
+        fixture_ds, ["doc", "hbos"], SvddConfig(seed=0), k=5, contamination=0.1, seed=0
     )
     elapsed = time.perf_counter() - start
     doc_auc = doc.summary["auc"]["mean"] / 100.0
@@ -180,11 +175,8 @@ def test_criterion_8_protocol_guarantees(fixture_ds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
         assert np.all(fixture_ds.labels[train_idx] == 0)
 
-    def factory():
-        return evaluation.HbosRawDetector()
-
-    a = evaluation.kfold_evaluate(fixture_ds, factory, k=k, seed=seed)
-    b = evaluation.kfold_evaluate(fixture_ds, factory, k=k, seed=seed)
+    (a,) = evaluation.evaluate(fixture_ds, ["hbos"], k=k, seed=seed)
+    (b,) = evaluation.evaluate(fixture_ds, ["hbos"], k=k, seed=seed)
     ja, jb = json.loads(a.to_json()), json.loads(b.to_json())
     ja.pop("wall_seconds"), jb.pop("wall_seconds")
     assert ja == jb

@@ -208,6 +208,24 @@ class TestScore:
         assert child.returncode == 0, child.stderr
         assert child.stdout.decode() == expected
 
+    def test_values_near_the_float64_limit_score_silently(self, dataset_csv, model_file, tmp_path):
+        header, row = dataset_csv.read_text().splitlines()[:2]
+        tail = row.split(",")[6:]  # the label and category cells
+        rows = [
+            ",".join([value] * 6 + tail)
+            for value in ("1.7976931348623157e+308", "-1.7976931348623157e+308")
+        ]
+        flows = tmp_path / "extreme.csv"
+        flows.write_text("\n".join([header, *rows]) + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["score", "--model", str(model_file), "--input", str(flows)]
+        child = subprocess.run(
+            [sys.executable, "-m", "docnids.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        assert len(child.stdout.splitlines()) == 3
+
     def test_empty_input_header_only(self, model_file, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("f0,f1,f2,f3,f4,f5,Label\n")

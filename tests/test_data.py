@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -420,6 +421,15 @@ class TestScaler:
         p = data.fit_scaler(np.array([[0.0], [10.0]]))
         assert data.apply_scaler(p, np.array([[15.0]]))[0, 0] == 1.0
         assert data.apply_scaler(p, np.array([[-5.0]]))[0, 0] == 0.0
+
+    def test_values_near_the_float64_limit_clamp_without_a_warning(self):
+        # spans below 1, so dividing by them overflows
+        p = data.fit_scaler(np.array([[0.0, -0.1], [0.5, 0.1]]))
+        big = np.finfo(np.float64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = data.apply_scaler(p, np.array([[big, big], [-big, -big]]))
+        assert out.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
     def test_training_data_lands_in_unit_cube(self, rng):
         train = rng.normal(size=(30, 4)) * 10

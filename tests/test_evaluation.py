@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docnids import data, evaluation
+from docnids import data, evaluation, svdd
 from docnids.errors import DataError
 from docnids.evaluation import (
     ConfusionMatrix,
-    DocDetector,
-    HbosRawDetector,
     PcaDetector,
     benign_folds,
     confusion,
-    holdout_evaluate,
-    kfold_evaluate,
+    evaluate,
     metrics,
     roc_auc,
 )
@@ -156,10 +153,6 @@ def small_ds():
 
 
 class TestKfold:
-    @staticmethod
-    def factory():
-        return HbosRawDetector(bins=8)
-
     def test_benign_folds_partition(self, small_ds):
         folds = benign_folds(small_ds.labels, 5, seed=3)
         joined = np.sort(np.concatenate(folds))
@@ -170,14 +163,14 @@ class TestKfold:
             assert np.all(small_ds.labels[fold] == 0)
 
     def test_deterministic_reports(self, small_ds):
-        a = kfold_evaluate(small_ds, self.factory, k=5, seed=7)
-        b = kfold_evaluate(small_ds, self.factory, k=5, seed=7)
+        (a,) = evaluate(small_ds, ["hbos"], bins=8, k=5, seed=7)
+        (b,) = evaluate(small_ds, ["hbos"], bins=8, k=5, seed=7)
         ja, jb = json.loads(a.to_json()), json.loads(b.to_json())
         ja.pop("wall_seconds"), jb.pop("wall_seconds")
         assert ja == jb
 
     def test_fold_count_and_percentages(self, small_ds):
-        r = kfold_evaluate(small_ds, self.factory, k=5, seed=7)
+        (r,) = evaluate(small_ds, ["hbos"], bins=8, k=5, seed=7)
         assert len(r.folds) == 5
         for name, s in r.summary.items():
             assert 0.0 <= s["mean"] <= 100.0
@@ -185,23 +178,72 @@ class TestKfold:
     def test_rejects_single_class(self):
         ds = data.LabeledDataset(["a"], np.zeros((10, 1)), np.zeros(10, dtype=int))
         with pytest.raises(DataError):
-            kfold_evaluate(ds, self.factory, k=2)
+            evaluate(ds, ["hbos"], bins=8, k=2)
 
     def test_rejects_small_k(self, small_ds):
         with pytest.raises(ValueError):
-            kfold_evaluate(small_ds, self.factory, k=1)
+            evaluate(small_ds, ["hbos"], bins=8, k=1)
 
     def test_fold_auc_stability_on_fixture(self, fixture_ds):
-        r = kfold_evaluate(
-            fixture_ds, lambda: DocDetector(SvddConfig(seed=0)), k=5, seed=0
-        )
+        (r,) = evaluate(fixture_ds, ["doc"], SvddConfig(seed=0), k=5, seed=0)
         aucs = np.array([f.auc for f in r.folds])
         assert np.all(np.abs(aucs - aucs.mean()) <= 0.05)
 
     def test_holdout_single_fold(self, small_ds):
-        r = holdout_evaluate(small_ds, self.factory, train_fraction=0.7, seed=2)
+        (r,) = evaluate(
+            small_ds, ["hbos"], bins=8, protocol="holdout", train_fraction=0.7, seed=2
+        )
         assert r.protocol == "holdout"
         assert len(r.folds) == 1
+
+
+PROTOCOLS = {"kfold": {"k": 4}, "holdout": {"protocol": "holdout", "train_fraction": 0.7}}
+
+
+class TestSharedNetwork:
+    """Per fold, one network serves every detector that uses it."""
+
+    config = SvddConfig(epochs=3, seed=1)
+
+    def counted_train(self, monkeypatch):
+        calls = []
+        real = svdd.train
+
+        def train(config, train_x):
+            calls.append(len(train_x))
+            return real(config, train_x)
+
+        monkeypatch.setattr(svdd, "train", train)
+        return calls
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_doc_and_svdd_train_once_per_fold(self, small_ds, monkeypatch, protocol):
+        calls = self.counted_train(monkeypatch)
+        reports = evaluate(small_ds, ["doc", "svdd"], self.config, seed=3, **PROTOCOLS[protocol])
+        assert [r.detector for r in reports] == ["doc", "svdd"]
+        assert len(calls) == len(reports[0].folds) == (4 if protocol == "kfold" else 1)
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_no_training_without_a_network_detector(self, small_ds, monkeypatch, protocol):
+        calls = self.counted_train(monkeypatch)
+        evaluate(small_ds, ["hbos", "pca"], self.config, seed=3, **PROTOCOLS[protocol])
+        assert calls == []
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_joint_reports_equal_the_single_detector_ones(self, small_ds, protocol):
+        names = ["doc", "svdd", "hbos", "pca"]
+
+        def report_json(report):
+            doc = json.loads(report.to_json())
+            doc.pop("wall_seconds")
+            return doc
+
+        kwargs = dict(bins=6, seed=3, **PROTOCOLS[protocol])
+        joint = evaluate(small_ds, names, self.config, **kwargs)
+        assert [r.detector for r in joint] == names
+        for name, report in zip(names, joint):
+            (alone,) = evaluate(small_ds, [name], self.config, **kwargs)
+            assert report_json(report) == report_json(alone)
 
 
 class TestPcaBaseline:
@@ -238,7 +280,7 @@ class TestPcaBaseline:
 class TestRenderTable:
     def test_columns_in_expected_order(self, rng):
         ds = data.synth_generate(120, 30, 4, 0.6, seed=4)
-        r = kfold_evaluate(ds, lambda: HbosRawDetector(), k=3, seed=0)
+        (r,) = evaluate(ds, ["hbos"], k=3, seed=0)
         table = evaluation.render_table([r])
         head = table.splitlines()[0]
         assert head.index("Accuracy") < head.index("F1 Score") < head.index("AUC")
@@ -246,7 +288,7 @@ class TestRenderTable:
 
     def test_json_roundtrip(self, rng):
         ds = data.synth_generate(120, 30, 4, 0.6, seed=4)
-        r = kfold_evaluate(ds, lambda: HbosRawDetector(), k=3, seed=0)
+        (r,) = evaluate(ds, ["hbos"], k=3, seed=0)
         doc = json.loads(r.to_json())
         assert doc["detector"] == "hbos"
         assert len(doc["folds"]) == 3

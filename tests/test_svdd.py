@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from docnids import nn, svdd
+from docnids import backend, nn, svdd
 from docnids.errors import TrainingDivergedError
 from docnids.nn import Activation, MlpParams
 from docnids.svdd import SvddConfig
@@ -129,6 +129,53 @@ class TestTrain:
 
     def test_history_losses_finite(self, trained_svdd):
         assert all(np.isfinite(loss) for _, loss in trained_svdd.train_history)
+
+    @pytest.mark.parametrize(
+        "config",
+        [SvddConfig(seed=0), SvddConfig(seed=4, weight_decay=0.0, activation=Activation.RECTIFIER)],
+        ids=["default", "no_decay_rectifier"],
+    )
+    def test_in_place_step_matches_sgd_step(self, fixture_scaled, config):
+        scaled, _ = fixture_scaled
+        model = svdd.train(config, scaled)
+        params, history = reference_train(config, scaled)
+        assert all(np.array_equal(a, b) for a, b in zip(model.params.layers, params.layers))
+        assert model.train_history == history
+
+    def test_non_finite_gradient_is_rejected(self, monkeypatch):
+        x = np.random.default_rng(1).uniform(size=(20, 4))
+        cfg = SvddConfig(layer_dims=[4, 3, 2], epochs=1, batch_size=8, seed=2)
+
+        def nan_gradients(weights, acts, delta, slope):
+            return [np.full_like(w, np.nan) for w in weights]
+
+        monkeypatch.setattr(backend, "backward_pass", nan_gradients)
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            svdd.train(cfg, x)
+
+
+def reference_train(config, x):
+    """svdd.train's epochs, with each step taken by ``nn.sgd_step`` on a
+    new ``nn.Gradients`` holding the weight-decay gradient."""
+    params = nn.init_params(config.resolve_dims(x.shape[1]), config.seed, config.activation)
+    c = svdd.init_center(params, x, config.center_eps)
+    rng = np.random.default_rng(config.seed + 1)
+    history = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(x))
+        epoch_loss = 0.0
+        for start in range(0, len(x), config.batch_size):
+            batch = x[order[start : start + config.batch_size]]
+            z = nn.forward_batch(params, batch)
+            loss = svdd.svdd_loss(params, batch, c, config.weight_decay)
+            grads = nn.backprop_batch(params, batch, 2.0 * (z - c) / len(batch))
+            decayed = nn.Gradients(
+                layers=[g + config.weight_decay * w for g, w in zip(grads.layers, params.layers)]
+            )
+            params = nn.sgd_step(params, decayed, config.lr)
+            epoch_loss += loss * len(batch)
+        history.append((epoch, epoch_loss / len(x)))
+    return params, history
 
 
 class TestEmbedAndScore:
