@@ -22,26 +22,32 @@ def forward_pass(weights: list, x: np.ndarray, slope: float) -> list:
     for i, w in enumerate(weights):
         z = a @ w.T
         if i < last:
-            z = np.where(z > 0.0, z, slope * z)
+            # Bit-equal to np.where(z > 0.0, z, slope * z), z * 1.0 being z
+            # at inf and NaN too; np.maximum(z, slope * z) is not (NaN at
+            # z = +inf for slope 0).
+            z *= np.where(z > 0.0, 1.0, slope)
         a = z
         acts.append(a)
     return acts
 
 
-def backward_pass(weights: list, acts: list, delta: np.ndarray, slope: float) -> list:
-    """Reverse-accumulate weight gradients, summed over the batch.
+def backward_pass(weights: list, acts: list, delta: np.ndarray, slope: float, grads: list) -> None:
+    """Reverse-accumulate weight gradients, summed over the batch, into
+    ``grads``.
 
-    ``delta`` is dL/dz for the final-layer output, shape (n, p). The
-    activation derivative is taken as 1 where the stored activation is
-    positive and ``slope`` elsewhere (subgradient ``slope`` at exactly 0).
+    ``grads`` holds one caller-owned array per weight matrix, of its
+    shape, and each is overwritten by ``np.matmul(..., out=...)``, so a
+    training loop can reuse the same arrays for every batch. ``delta`` is
+    dL/dz for the final-layer output, shape (n, p). The activation
+    derivative is taken as 1 where the stored activation is positive and
+    ``slope`` elsewhere (subgradient ``slope`` at exactly 0).
     """
-    grads: list = [None] * len(weights)
     d = delta
     for i in range(len(weights) - 1, -1, -1):
-        grads[i] = d.T @ acts[i]
+        np.matmul(d.T, acts[i], out=grads[i])
         if i > 0:
-            d = (d @ weights[i]) * np.where(acts[i] > 0.0, 1.0, slope)
-    return grads
+            d = d @ weights[i]
+            d *= np.where(acts[i] > 0.0, 1.0, slope)
 
 
 def hbos_scores(

@@ -165,17 +165,27 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
-    if ds.n_attack == 0 or ds.n_benign == 0:
-        raise DataError("evaluation needs both benign and attack rows")
-    names = [n for n in args.detectors.split(",") if n]
-    for n in names:
+def _detector_names(text: str) -> list[str]:
+    """The names in ``--detectors``: at least one, each known, none twice."""
+    names = [n for n in text.split(",") if n]
+    if not names:
+        raise CliError(f"--detectors names no detector, got {text!r}", EXIT_FLAG)
+    for i, n in enumerate(names):
         if n not in evaluation.DETECTOR_FACTORIES:
             raise CliError(
                 f"unknown detector {n!r}; choose from {sorted(evaluation.DETECTOR_FACTORIES)}",
                 EXIT_FLAG,
             )
+        if n in names[:i]:
+            raise CliError(f"--detectors names {n!r} more than once", EXIT_FLAG)
+    return names
+
+
+def cmd_evaluate(args) -> int:
+    names = _detector_names(args.detectors)
+    ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
+    if ds.n_attack == 0 or ds.n_benign == 0:
+        raise DataError("evaluation needs both benign and attack rows")
     config = _svdd_config(args, input_dim=ds.rows.shape[1])
     echo = {
         "layer_dims": config.layer_dims,

@@ -103,7 +103,8 @@ def backprop_batch(params: MlpParams, x: np.ndarray, dl_dz: np.ndarray) -> Gradi
     x = _check_input(x, "input batch", params.layer_dims[0])
     dl_dz = _check_input(dl_dz, "output gradient batch", params.layer_dims[-1])
     acts = backend.forward_pass(params.layers, x, params.activation.slope)
-    grads = backend.backward_pass(params.layers, acts, dl_dz, params.activation.slope)
+    grads = [np.empty_like(w) for w in params.layers]
+    backend.backward_pass(params.layers, acts, dl_dz, params.activation.slope, grads)
     return Gradients(layers=grads)
 
 

@@ -7,6 +7,7 @@ eps-adjusted mean of the initial embeddings and is never trained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,14 +81,26 @@ def svdd_loss(params: MlpParams, batch: np.ndarray, c: np.ndarray, weight_decay:
     z = nn.forward_batch(params, batch)
     if len(c) != z.shape[1]:
         raise ValueError(f"center has length {len(c)}, expected {z.shape[1]}")
-    return _loss(z, c, params.layers, weight_decay)
+    return _loss(z - c, params.layers, weight_decay)
 
 
-def _loss(z: np.ndarray, c: np.ndarray, layers: list[np.ndarray], weight_decay: float) -> float:
-    """The objective of ``svdd_loss`` from embeddings ``z`` already computed."""
-    dist = ((z - c) ** 2).sum(axis=1).mean()
+def _loss(diff: np.ndarray, layers: list[np.ndarray], weight_decay: float) -> float:
+    """The objective of ``svdd_loss`` from the residuals ``diff = z - c``.
+
+    ``.sum() / n`` is the same float as ``.mean()``, with fewer calls.
+    """
+    dist = (diff**2).sum(axis=1).sum() / diff.shape[0]
     reg = 0.5 * weight_decay * sum(float((w**2).sum()) for w in layers)
     return float(dist + reg)
+
+
+def _layer_views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive slices of ``flat`` reshaped to the shapes of ``like``."""
+    views, start = [], 0
+    for w in like:
+        views.append(flat[start : start + w.size].reshape(w.shape))
+        start += w.size
+    return views
 
 
 def _distances_sq(params: MlpParams, x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -97,6 +110,13 @@ def _distances_sq(params: MlpParams, x: np.ndarray, c: np.ndarray) -> np.ndarray
 
 def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
     """Run epochs of shuffled mini-batch SGD on the hypersphere objective.
+
+    The weights live in one flat buffer ``theta``, with ``params.layers``
+    as reshaped views of it, and every batch's gradient is written into
+    one flat buffer ``grad`` with matching views. The weight decay, the
+    finite-gradient check and the step are then one call each over all
+    layers: elementwise the same arithmetic as ``nn.sgd_step`` on the
+    gradient plus ``weight_decay * w``, so the weights come out bit-equal.
 
     Deterministic for a fixed seed. Raises TrainingDivergedError if the
     loss goes non-finite, naming the epoch and batch.
@@ -108,7 +128,12 @@ def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
     dims = config.resolve_dims(train_x.shape[1])
     params = nn.init_params(dims, config.seed, config.activation)
     c = init_center(params, train_x, config.center_eps)
+    theta = np.concatenate([w.ravel() for w in params.layers])
+    params.layers = _layer_views(theta, params.layers)
+    grad = np.empty_like(theta)
+    grads = _layer_views(grad, params.layers)
 
+    slope = config.activation.slope
     rng = np.random.default_rng(config.seed + 1)
     n = train_x.shape[0]
     history: list[tuple[int, float]] = []
@@ -119,24 +144,22 @@ def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
             order = rng.permutation(n)
             epoch_loss = 0.0
             for b, start in enumerate(range(0, n, config.batch_size)):
-                batch = train_x[order[start : start + config.batch_size]]
+                # the same rows as train_x[idx], with less overhead per call
+                batch = train_x.take(order[start : start + config.batch_size], axis=0)
                 nb = batch.shape[0]
-                acts = backend.forward_pass(params.layers, batch, config.activation.slope)
-                z = acts[-1]
-                delta = 2.0 * (z - c) / nb
-                grads = backend.backward_pass(params.layers, acts, delta, config.activation.slope)
-                loss = _loss(z, c, params.layers, config.weight_decay)
-                if not np.isfinite(loss):
+                acts = backend.forward_pass(params.layers, batch, slope)
+                diff = acts[-1] - c
+                delta = 2.0 * diff / nb
+                backend.backward_pass(params.layers, acts, delta, slope, grads)
+                loss = _loss(diff, params.layers, config.weight_decay)
+                if not math.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, batch {b}"
                     )
-                # nn.sgd_step on the gradient plus weight decay, done in place:
-                # the same arithmetic, without a new MlpParams or Gradients
-                for g, w in zip(grads, params.layers):
-                    g += config.weight_decay * w
-                    if not np.isfinite(g).all():
-                        raise ValueError("non-finite gradient entries")
-                    w -= config.lr * g
+                grad += config.weight_decay * theta
+                if not np.isfinite(grad).all():
+                    raise ValueError("non-finite gradient entries")
+                theta -= config.lr * grad
                 epoch_loss += loss * nb
             history.append((epoch, epoch_loss / n))
 

@@ -319,6 +319,23 @@ class TestEvaluate:
     def test_unknown_detector_exits_2(self, dataset_csv):
         assert run(["evaluate", "--input", str(dataset_csv), "--detectors", "bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "detectors, message",
+        [
+            (",", "names no detector"),
+            ("", "names no detector"),
+            ("doc,doc", "'doc' more than once"),
+            ("hbos,pca,hbos", "'hbos' more than once"),
+        ],
+        ids=["comma", "empty", "doc_twice", "hbos_twice"],
+    )
+    def test_empty_or_repeated_detectors_exit_2(self, dataset_csv, capsys, detectors, message):
+        assert run(["evaluate", "--input", str(dataset_csv), "--detectors", detectors]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_single_class_exits_3(self, tmp_path):
         only_benign = tmp_path / "benign.csv"
         only_benign.write_text("x,Label\n" + "".join(f"{v},0\n" for v in range(20)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from docnids import nn
+from docnids import backend, nn
 from docnids.nn import Activation
 
 
@@ -91,6 +91,42 @@ class TestForward:
         batch = nn.forward_batch(p, xs)
         for i in range(8):
             assert np.allclose(batch[i], nn.forward_batch(p, xs[i][None])[0], atol=1e-12)
+
+
+SPECIAL_VALUES = np.array(
+    [np.inf, -np.inf, 0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+     1.5, -1.5, 1e300, -1e300, 0.3, -7.0]
+)
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_forward_activation_is_bit_equal_to_where(self, activation):
+        slope = activation.slope
+        x = SPECIAL_VALUES[:, None]
+        # one input column, so each pre-activation is one product x * w
+        weights = [np.array([[1.0], [-1.0], [0.5], [3.0]]), np.ones((2, 4))]
+        z = x @ weights[0].T
+        assert np.isnan(z).any() and np.isposinf(z).any() and np.isneginf(z).any()
+        assert (z == 0.0).any() and (np.abs(z[np.isfinite(z) & (z != 0)]) < 1e-307).any()
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf are NaN here
+            expected = np.where(z > 0.0, z, slope * z)
+            acts = backend.forward_pass(weights, x, slope)
+        assert acts[0] is x
+        assert np.array_equal(acts[1].view(np.int64), expected.view(np.int64))
+
+    def test_backward_into_reused_arrays_equals_fresh_arrays(self, rng):
+        p = nn.init_params([5, 7, 4, 3], seed=8)
+        slope = p.activation.slope
+        reused = [np.full_like(w, np.nan) for w in p.layers]
+        for n in (6, 2):
+            x = rng.normal(size=(n, 5))
+            delta = rng.normal(size=(n, 3))
+            acts = backend.forward_pass(p.layers, x, slope)
+            fresh = [np.empty_like(w) for w in p.layers]
+            backend.backward_pass(p.layers, acts, delta, slope, fresh)
+            backend.backward_pass(p.layers, acts, delta, slope, reused)
+            assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
 
 
 class TestBackprop:

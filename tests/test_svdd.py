@@ -132,8 +132,24 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "config",
-        [SvddConfig(seed=0), SvddConfig(seed=4, weight_decay=0.0, activation=Activation.RECTIFIER)],
-        ids=["default", "no_decay_rectifier"],
+        [
+            SvddConfig(seed=0),
+            SvddConfig(seed=4, weight_decay=0.0, activation=Activation.RECTIFIER),
+            SvddConfig(layer_dims=[16, 8], epochs=5, seed=1),
+            SvddConfig(layer_dims=[16, 32, 16, 8], epochs=5, seed=2),
+            SvddConfig(epochs=3, batch_size=100, seed=3),
+            SvddConfig(layer_dims=[16, 16, 8], epochs=1, batch_size=7, seed=5),
+            SvddConfig(epochs=5, seed=6, activation=Activation.IDENTITY),
+        ],
+        ids=[
+            "default",
+            "no_decay_rectifier",
+            "one_layer",
+            "three_layers",
+            "batch_100",
+            "ragged_batch_7",
+            "identity",
+        ],
     )
     def test_in_place_step_matches_sgd_step(self, fixture_scaled, config):
         scaled, _ = fixture_scaled
@@ -146,11 +162,26 @@ class TestTrain:
         x = np.random.default_rng(1).uniform(size=(20, 4))
         cfg = SvddConfig(layer_dims=[4, 3, 2], epochs=1, batch_size=8, seed=2)
 
-        def nan_gradients(weights, acts, delta, slope):
-            return [np.full_like(w, np.nan) for w in weights]
+        def nan_gradients(weights, acts, delta, slope, grads):
+            for g in grads:
+                g.fill(np.nan)
 
         monkeypatch.setattr(backend, "backward_pass", nan_gradients)
         with pytest.raises(ValueError, match="non-finite gradient"):
+            svdd.train(cfg, x)
+
+    @pytest.mark.parametrize("layer", [0, -1], ids=["first", "last"])
+    def test_non_finite_gradient_in_one_layer_is_rejected(self, monkeypatch, layer):
+        x = np.random.default_rng(1).uniform(size=(20, 4))
+        cfg = SvddConfig(layer_dims=[4, 3, 2], epochs=1, batch_size=8, seed=2)
+        real_backward_pass = backend.backward_pass
+
+        def one_nan_layer(weights, acts, delta, slope, grads):
+            real_backward_pass(weights, acts, delta, slope, grads)
+            grads[layer].fill(np.nan)
+
+        monkeypatch.setattr(backend, "backward_pass", one_nan_layer)
+        with pytest.raises(ValueError, match="non-finite gradient entries"):
             svdd.train(cfg, x)
 
 
