@@ -49,12 +49,9 @@ def _parse_dims(text: str | None) -> list[int] | None:
     return dims
 
 
-def _svdd_config(args, input_dim: int | None = None) -> SvddConfig:
-    dims = _parse_dims(args.layer_dims)
-    if dims is None and input_dim is not None:
-        dims = [input_dim, 32, 8]
+def _svdd_config(args) -> SvddConfig:
     return SvddConfig(
-        layer_dims=dims,
+        layer_dims=_parse_dims(args.layer_dims),
         epochs=args.epochs,
         batch_size=args.batch_size,
         lr=args.lr,
@@ -118,7 +115,7 @@ def cmd_train(args) -> int:
         )
     scaler = data.fit_scaler(benign)
     scaled = data.apply_scaler(scaler, benign)
-    config = _svdd_config(args, input_dim=scaled.shape[1])
+    config = _svdd_config(args)
     try:
         model = pipeline.fit(
             config, scaled, scaler, ds.columns, bins=args.bins, contamination=args.contamination
@@ -186,9 +183,10 @@ def cmd_evaluate(args) -> int:
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
     if ds.n_attack == 0 or ds.n_benign == 0:
         raise DataError("evaluation needs both benign and attack rows")
-    config = _svdd_config(args, input_dim=ds.rows.shape[1])
+    config = _svdd_config(args)
     echo = {
-        "layer_dims": config.layer_dims,
+        # a given list is checked against the data only where a network trains
+        "layer_dims": config.layer_dims or config.resolve_dims(ds.rows.shape[1]),
         "epochs": config.epochs,
         "batch_size": config.batch_size,
         "lr": config.lr,

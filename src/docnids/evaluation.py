@@ -1,10 +1,12 @@
 """Metrics, ROC-AUC, the benign k-fold protocol, and baseline detectors.
 
-All detectors share one interface: fit on a scaled benign-only matrix,
+All detectors share one interface: fit on a benign-only matrix,
 returning its scores, then score rows (higher = more anomalous). The
 harness owns fold construction, per-fold scaling, the per-fold network
-that ``doc`` and ``svdd`` share, and thresholding, so every detector
-sees identical data within a run.
+and thresholding, so every detector sees identical data within a run.
+``hbos`` and ``pca`` see the scaled rows; ``doc`` (``hbos`` of the
+pipeline) and ``svdd`` (distance to the center) see the rows'
+embeddings under the fold's network, made once per fold.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -108,53 +110,9 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-class Detector(Protocol):
-    name: str
-
-    def fit(self, benign: np.ndarray) -> np.ndarray:
-        """Fit on scaled benign rows and return their scores."""
-        ...
-
-    def scores(self, x: np.ndarray) -> np.ndarray: ...
-
-
-class DocDetector:
-    """Histogram scoring of the embeddings of a trained network."""
-
-    name = "doc"
-
-    def __init__(self, network: SvddModel, bins: int = 10):
-        self.network = network
-        self.bins = bins
-        self.hist = None
-
-    def fit(self, benign: np.ndarray) -> np.ndarray:
-        self.hist, train_scores = pipeline.fit_core(self.network, benign, self.bins)
-        return train_scores
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return pipeline.scaled_scores(self.network, self.hist, x)
-
-
-class SvddDetector:
-    """A trained network scored by squared center distance."""
-
-    name = "svdd"
-
-    def __init__(self, network: SvddModel):
-        self.network = network
-
-    def fit(self, benign: np.ndarray) -> np.ndarray:
-        return self.scores(benign)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return svdd.distance_score_batch(self.network, x)
-
-
-class HbosRawDetector:
-    """Histogram scoring directly on the scaled input features."""
-
-    name = "hbos"
+class HbosDetector:
+    """Histogram scoring of the rows it is given: the scaled features for
+    ``hbos``, the fold's embeddings for ``doc``."""
 
     def __init__(self, bins: int = 10):
         self.bins = bins
@@ -168,11 +126,22 @@ class HbosRawDetector:
         return hbos.hbos_score_batch(self.hist, x)
 
 
+class SvddDetector:
+    """Squared distance of the fold's embeddings to the network's center."""
+
+    def __init__(self, center: np.ndarray):
+        self.center = center
+
+    def fit(self, benign: np.ndarray) -> np.ndarray:
+        return self.scores(benign)
+
+    def scores(self, x: np.ndarray) -> np.ndarray:
+        return svdd.distances_sq(x, self.center)
+
+
 class PcaDetector:
     """Squared reconstruction error from the top principal components
     explaining at least ``variance_target`` of the variance."""
-
-    name = "pca"
 
     def __init__(self, variance_target: float = 0.9):
         self.variance_target = variance_target
@@ -207,13 +176,14 @@ class PcaDetector:
 
 # Each detector built from the fold's trained network (None when no
 # requested detector uses one) and the histogram bin count.
-DETECTOR_FACTORIES: dict[str, Callable[[SvddModel | None, int], Detector]] = {
-    "doc": lambda network, bins: DocDetector(network, bins=bins),
-    "svdd": lambda network, bins: SvddDetector(network),
-    "hbos": lambda network, bins: HbosRawDetector(bins=bins),
+DETECTOR_FACTORIES: dict[str, Callable[[SvddModel | None, int], object]] = {
+    "doc": lambda network, bins: HbosDetector(bins),
+    "svdd": lambda network, bins: SvddDetector(network.center),
+    "hbos": lambda network, bins: HbosDetector(bins),
     "pca": lambda network, bins: PcaDetector(),
 }
-# The detectors that score with the network, which is trained once per fold.
+# The detectors that see the fold's embeddings under the network, which
+# is trained once per fold; the others see the scaled rows.
 NETWORK_DETECTORS = frozenset({"doc", "svdd"})
 
 
@@ -284,31 +254,34 @@ def _evaluate_fold(
     bins: int,
     contamination: float,
 ) -> list[tuple[FoldResult, float]]:
-    """Fit the scaler, scale the rows and train the network once, if some
-    detector uses it; then fit, threshold and score each detector.
+    """Fit the scaler and scale the rows; if some detector uses the
+    network, train it and embed the train and test rows once; then fit,
+    threshold and score each detector on its rows.
 
     Returns one (result, seconds) pair per detector, in order. A
-    detector's seconds count the shared scaling, the training if it uses
-    the network, and its own fit and scoring. The fold's arrays live only
-    in this call."""
+    detector's seconds count the shared scaling, the training and
+    embedding if it uses the network, and its own fit and scoring. The
+    fold's arrays live only in this call."""
     start = time.perf_counter()
     scaler = fit_scaler(train_x)
-    train_scaled = apply_scaler(scaler, train_x)
-    test_scaled = apply_scaler(scaler, test_x)
+    scaled = (apply_scaler(scaler, train_x), apply_scaler(scaler, test_x))
     scaled_at = time.perf_counter()
-    network = None
+    network, embedded = None, None
     if NETWORK_DETECTORS.intersection(detectors):
-        network = svdd.train(config, train_scaled)
-    trained_at = time.perf_counter()
+        network = svdd.train(config, scaled[0])
+        embedded = tuple(svdd.embed_batch(network, x) for x in scaled)
+    embedded_at = time.perf_counter()
     out = []
     for name in detectors:
         own_start = time.perf_counter()
+        uses_network = name in NETWORK_DETECTORS
+        train_in, test_in = embedded if uses_network else scaled
         detector = DETECTOR_FACTORIES[name](network, bins)
-        threshold = pipeline.threshold_from_scores(detector.fit(train_scaled), contamination)
-        test_scores = detector.scores(test_scaled)
+        threshold = pipeline.threshold_from_scores(detector.fit(train_in), contamination)
+        test_scores = detector.scores(test_in)
         cm = confusion(test_y, (test_scores > threshold).astype(np.int64))
         result = FoldResult(fold=fold, cm=cm, metrics=metrics(cm), auc=roc_auc(test_y, test_scores))
-        shared = (trained_at if name in NETWORK_DETECTORS else scaled_at) - start
+        shared = (embedded_at if uses_network else scaled_at) - start
         out.append((result, shared + time.perf_counter() - own_start))
     return out
 
@@ -343,7 +316,8 @@ def evaluate(
     trains on the other k-1 benign folds and tests on its own benign fold
     plus every attack row. ``holdout``: a single seeded benign train/test
     split with every attack row in the test set. Per fold, the scaler is
-    fitted and the network trained once, and every detector uses them."""
+    fitted, the network trained and the rows embedded once, and every
+    detector uses them."""
     if ds.n_attack == 0:
         raise DataError("dataset contains no attack rows")
     config = config or SvddConfig()

@@ -22,7 +22,7 @@ from .nn import Activation, MlpParams
 from .svdd import SvddConfig, SvddModel
 
 MAGIC = b"DOC1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _ACTIVATION_CODES = {a: i for i, a in enumerate(Activation)}
 _ACTIVATION_BY_CODE = {i: a for a, i in _ACTIVATION_CODES.items()}
@@ -49,19 +49,6 @@ def schema_hash(columns: list[str]) -> bytes:
     return hashlib.sha256("\x1f".join(columns).encode("utf-8")).digest()
 
 
-def fit_core(
-    model: SvddModel, benign_scaled: np.ndarray, bins: int
-) -> tuple[HistogramSet, np.ndarray]:
-    """Fit histograms on the embeddings of the training rows under the
-    trained network, and return them plus the training scores. The scores
-    are those of ``scaled_scores``, taken from the embeddings already made
-    for the histograms rather than from a second forward pass."""
-    z = svdd.embed_batch(model, benign_scaled)
-    hist = hbos.fit_histograms(z, bins)
-    scores = hbos.hbos_score_batch(hist, z)
-    return hist, scores
-
-
 def threshold_from_scores(scores: np.ndarray, contamination: float) -> float:
     return float(np.quantile(scores, 1.0 - contamination, method="linear"))
 
@@ -77,12 +64,15 @@ def fit(
     """Fit the full detector on scaled benign rows.
 
     ``benign_scaled`` must already be min-max scaled to [0, 1] with the
-    supplied scaler, and must contain benign rows only.
+    supplied scaler, and must contain benign rows only. The histograms
+    and the threshold both come from the rows' embeddings.
     """
     if not 0.0 < contamination < 1.0:
         raise ValueError(f"contamination must be in (0, 1), got {contamination}")
     model = svdd.train(config, benign_scaled)
-    hist, scores = fit_core(model, benign_scaled, bins)
+    z = svdd.embed_batch(model, benign_scaled)
+    hist = hbos.fit_histograms(z, bins)
+    scores = hbos.hbos_score_batch(hist, z)
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite training scores")
     return DocModel(
@@ -104,17 +94,11 @@ def check_schema(model: DocModel, columns: list[str]) -> None:
         )
 
 
-def scaled_scores(model: SvddModel, hist: HistogramSet, scaled: np.ndarray) -> np.ndarray:
-    """Anomaly scores of a (n, d) matrix of rows already min-max scaled:
-    embed them, then sum the histogram scores of the embeddings."""
-    return hbos.hbos_score_batch(hist, svdd.embed_batch(model, scaled))
-
-
 def score_batch(model: DocModel, x: np.ndarray) -> np.ndarray:
-    """Anomaly scores of a (n, d) matrix of raw feature rows (scaling
-    applied here)."""
+    """Anomaly scores of a (n, d) matrix of raw feature rows: scale them,
+    embed them, then sum the histogram scores of the embeddings."""
     scaled = apply_scaler(model.scaler, np.asarray(x, dtype=np.float64))
-    return scaled_scores(model.svdd, model.hist, scaled)
+    return hbos.hbos_score_batch(model.hist, svdd.embed_batch(model.svdd, scaled))
 
 
 def verdict_labels(model: DocModel, scores):
@@ -146,7 +130,6 @@ def save(model: DocModel, path) -> None:
     out += struct.pack(f"<{len(dims)}I", *dims)
     for w in model.svdd.params.layers:
         out += _pack_f64(w)
-    out += struct.pack("<dd", model.svdd.weight_decay, model.svdd.radius_proxy)
     out += _pack_f64(model.svdd.center)
     nf = len(model.scaler.mins)
     out += struct.pack("<I", nf)
@@ -206,7 +189,6 @@ def load(path) -> DocModel:
     if ndims < 2 or min(dims) < 1:
         raise ModelFormatError(f"invalid layer dims {dims}: need at least two, each >= 1")
     layers = [r.f64((dims[i + 1], dims[i])) for i in range(ndims - 1)]
-    weight_decay, radius = r.unpack("<dd")
     center = r.f64(dims[-1])
     (nf,) = r.unpack("<I")
     if nf != dims[0]:
@@ -228,12 +210,7 @@ def load(path) -> DocModel:
         layers=layers, activation=_ACTIVATION_BY_CODE[act_code], layer_dims=dims
     )
     return DocModel(
-        svdd=SvddModel(
-            params=params,
-            center=center,
-            weight_decay=weight_decay,
-            radius_proxy=radius,
-        ),
+        svdd=SvddModel(params=params, center=center),
         hist=HistogramSet(lo=lo, hi=hi, k=k, heights=heights),
         threshold=threshold,
         contamination=contamination,

@@ -54,8 +54,6 @@ class SvddConfig:
 class SvddModel:
     params: MlpParams
     center: np.ndarray
-    weight_decay: float
-    radius_proxy: float = 0.0
     train_history: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -103,11 +101,6 @@ def _layer_views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     return views
 
 
-def _distances_sq(params: MlpParams, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    z = nn.forward_batch(params, x)
-    return ((z - c) ** 2).sum(axis=1)
-
-
 def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
     """Run epochs of shuffled mini-batch SGD on the hypersphere objective.
 
@@ -117,6 +110,9 @@ def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
     finite-gradient check and the step are then one call each over all
     layers: elementwise the same arithmetic as ``nn.sgd_step`` on the
     gradient plus ``weight_decay * w``, so the weights come out bit-equal.
+
+    Returns the weights, the center and the per-epoch loss; the weight
+    decay only shapes training and is not kept.
 
     Deterministic for a fixed seed. Raises TrainingDivergedError if the
     loss goes non-finite, naming the epoch and batch.
@@ -162,16 +158,7 @@ def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
                 theta -= config.lr * grad
                 epoch_loss += loss * nb
             history.append((epoch, epoch_loss / n))
-
-    dist = np.sqrt(_distances_sq(params, train_x, c))
-    radius = float(np.quantile(dist, 0.99))
-    return SvddModel(
-        params=params,
-        center=c,
-        weight_decay=config.weight_decay,
-        radius_proxy=radius,
-        train_history=history,
-    )
+    return SvddModel(params=params, center=c, train_history=history)
 
 
 def embed_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:
@@ -179,6 +166,11 @@ def embed_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:
     return nn.forward_batch(model.params, x)
 
 
+def distances_sq(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distance of each (n, m) embedding row to the center ``c``."""
+    return ((z - c) ** 2).sum(axis=1)
+
+
 def distance_score_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:
     """Squared embedding distance to the center per row; higher = more anomalous."""
-    return _distances_sq(model.params, np.asarray(x, dtype=np.float64), model.center)
+    return distances_sq(embed_batch(model, np.asarray(x, dtype=np.float64)), model.center)

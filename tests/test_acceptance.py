@@ -96,9 +96,9 @@ def test_criterion_4_training_contraction(fixture_scaled):
     cfg = SvddConfig(seed=0)
     initial_params = nn.init_params(cfg.resolve_dims(scaled.shape[1]), cfg.seed, cfg.activation)
     center = svdd.init_center(initial_params, scaled, cfg.center_eps)
-    d_init = svdd._distances_sq(initial_params, scaled, center).mean()
+    d_init = svdd.distances_sq(nn.forward_batch(initial_params, scaled), center).mean()
     model = svdd.train(cfg, scaled)
-    d_final = svdd._distances_sq(model.params, scaled, model.center).mean()
+    d_final = svdd.distances_sq(nn.forward_batch(model.params, scaled), model.center).mean()
     elapsed = time.perf_counter() - start
     assert d_final <= 0.5 * d_init
     assert elapsed < 60.0

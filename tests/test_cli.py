@@ -1,9 +1,11 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -261,12 +263,24 @@ class TestScore:
         assert run(["score", "--model", str(model_path), "--input", str(flows)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 120
 
-    def test_corrupted_model_exits_4(self, dataset_csv, tmp_path, capsys):
+    def test_corrupted_model_exits_4(self, dataset_csv, model_file, tmp_path, capsys):
+        # a format-1 file: a current one with its version field set to 1
+        # and its checksum fixed
+        raw = model_file.read_bytes()[:-4]
+        version_1 = raw[:4] + struct.pack("<H", 1) + raw[6:]
+        version_1 += struct.pack("<I", zlib.crc32(version_1))
+        cases = {
+            b"garbage here": "not a DOC model file",
+            version_1: "unsupported model format version 1",
+        }
         bad = tmp_path / "bad.doc"
-        bad.write_bytes(b"garbage here")
-        code = run(["score", "--model", str(bad), "--input", str(dataset_csv)])
-        assert code == 4
-        assert "not a DOC model file" in capsys.readouterr().err
+        for content, message in cases.items():
+            bad.write_bytes(content)
+            code = run(["score", "--model", str(bad), "--input", str(dataset_csv)])
+            captured = capsys.readouterr()
+            assert code == 4
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
     def test_schema_mismatch_exits_4(self, model_file, tmp_path):
         other = tmp_path / "other.csv"
@@ -305,16 +319,20 @@ class TestEvaluate:
         assert [r["detector"] for r in payload["reports"]] == ["doc", "hbos", "pca"]
         assert all(len(r["folds"]) == 3 for r in payload["reports"])
 
-    def test_holdout_protocol(self, dataset_csv, capsys):
+    def test_holdout_protocol(self, dataset_csv, tmp_path, capsys):
+        out_json = tmp_path / "report.json"
         code = run(
             [
                 "evaluate", "--input", str(dataset_csv), "--detectors", "hbos",
-                "--protocol", "holdout", "--seed", "2",
+                "--protocol", "holdout", "--seed", "2", "--out-json", str(out_json),
             ]
         )
         assert code == 0
         table = capsys.readouterr().out
         assert "±" not in table
+        # without --layer-dims, the echo names the default dims for 6 features
+        (report,) = json.loads(out_json.read_text())["reports"]
+        assert report["config"]["layer_dims"] == [6, 32, 8]
 
     def test_unknown_detector_exits_2(self, dataset_csv):
         assert run(["evaluate", "--input", str(dataset_csv), "--detectors", "bogus"]) == 2

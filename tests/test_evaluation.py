@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docnids import data, evaluation, svdd
+from docnids import data, evaluation, nn, pipeline, svdd
 from docnids.errors import DataError
 from docnids.evaluation import (
     ConfusionMatrix,
@@ -224,6 +224,22 @@ class TestSharedNetwork:
         assert len(calls) == len(reports[0].folds) == (4 if protocol == "kfold" else 1)
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_doc_and_svdd_embed_each_row_set_once_per_fold(
+        self, small_ds, monkeypatch, protocol
+    ):
+        calls = []
+        real = nn.forward_batch
+
+        def forward_batch(params, x):
+            calls.append(len(x))
+            return real(params, x)
+
+        monkeypatch.setattr(nn, "forward_batch", forward_batch)
+        reports = evaluate(small_ds, ["doc", "svdd"], self.config, seed=3, **PROTOCOLS[protocol])
+        # the center, the training rows and the test rows
+        assert len(calls) == 3 * len(reports[0].folds)
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_no_training_without_a_network_detector(self, small_ds, monkeypatch, protocol):
         calls = self.counted_train(monkeypatch)
         evaluate(small_ds, ["hbos", "pca"], self.config, seed=3, **PROTOCOLS[protocol])
@@ -244,6 +260,40 @@ class TestSharedNetwork:
         for name, report in zip(names, joint):
             (alone,) = evaluate(small_ds, [name], self.config, **kwargs)
             assert report_json(report) == report_json(alone)
+
+
+class TestNetworkDetectorsMatchTheirScorers:
+    """The evaluated ``doc`` and ``svdd`` are the shipped scorers: one
+    holdout fold gives the counts and AUC those scorers give on the same
+    split."""
+
+    config = SvddConfig(epochs=3, seed=1)
+    kwargs = dict(bins=6, contamination=0.1, protocol="holdout", train_fraction=0.7, seed=3)
+
+    @pytest.fixture(scope="class")
+    def split(self, small_ds):
+        train_x, test = data.split_benign(small_ds, data.SplitSpec(0.7, 3))
+        scaler = data.fit_scaler(train_x)
+        return data.apply_scaler(scaler, train_x), scaler, test
+
+    def assert_fold_matches(self, small_ds, name, scores, threshold, test):
+        (report,) = evaluate(small_ds, [name], self.config, **self.kwargs)
+        (fold,) = report.folds
+        assert fold.cm == confusion(test.labels, (scores > threshold).astype(np.int64))
+        assert fold.auc == roc_auc(test.labels, scores)
+
+    def test_doc_is_pipeline_fit_and_score_batch(self, small_ds, split):
+        scaled, scaler, test = split
+        model = pipeline.fit(self.config, scaled, scaler, small_ds.columns, bins=6, contamination=0.1)
+        scores = pipeline.score_batch(model, test.rows)
+        self.assert_fold_matches(small_ds, "doc", scores, model.threshold, test)
+
+    def test_svdd_is_distance_score_batch(self, small_ds, split):
+        scaled, scaler, test = split
+        network = svdd.train(self.config, scaled)
+        threshold = pipeline.threshold_from_scores(svdd.distance_score_batch(network, scaled), 0.1)
+        scores = svdd.distance_score_batch(network, data.apply_scaler(scaler, test.rows))
+        self.assert_fold_matches(small_ds, "svdd", scores, threshold, test)
 
 
 class TestPcaBaseline:

@@ -107,11 +107,17 @@ class TestSerialization:
         assert loaded.threshold == model.threshold
         assert loaded.contamination == model.contamination
         assert loaded.schema_hash == model.schema_hash
-        assert loaded.svdd.radius_proxy == model.svdd.radius_proxy
-        for a, b in zip(loaded.svdd.params.layers, model.svdd.params.layers):
+        assert loaded.svdd.params.activation == model.svdd.params.activation
+        assert loaded.svdd.params.layer_dims == model.svdd.params.layer_dims
+        for a, b in zip(loaded.svdd.params.layers, model.svdd.params.layers, strict=True):
             assert np.array_equal(a, b)
+        assert np.array_equal(loaded.svdd.center, model.svdd.center)
+        assert loaded.hist.k == model.hist.k
+        assert np.array_equal(loaded.hist.lo, model.hist.lo)
+        assert np.array_equal(loaded.hist.hi, model.hist.hi)
         assert np.array_equal(loaded.hist.heights, model.hist.heights)
         assert np.array_equal(loaded.scaler.mins, model.scaler.mins)
+        assert np.array_equal(loaded.scaler.maxs, model.scaler.maxs)
 
     def test_corrupted_magic(self, small_model, tmp_path):
         model, _ = small_model
@@ -141,7 +147,8 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             pipeline.load(path)
 
-    def test_version_mismatch(self, small_model, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch(self, small_model, tmp_path, version):
         import struct
         import zlib
 
@@ -149,10 +156,10 @@ class TestSerialization:
         path = tmp_path / "m.doc"
         pipeline.save(model, path)
         raw = bytearray(path.read_bytes())[:-4]
-        raw[4:6] = struct.pack("<H", 99)
+        raw[4:6] = struct.pack("<H", version)
         raw += struct.pack("<I", zlib.crc32(bytes(raw)))
         path.write_bytes(bytes(raw))
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(ModelFormatError, match=f"unsupported model format version {version}$"):
             pipeline.load(path)
 
     def test_schema_mismatch_refused(self, small_model):

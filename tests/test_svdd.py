@@ -223,20 +223,14 @@ class TestEmbedAndScore:
         for i in range(5):
             assert np.allclose(batch[i], svdd.embed_batch(trained_svdd, xs[i][None])[0], atol=1e-12)
 
-    def test_radius_covers_99pct_of_training(self, trained_svdd, fixture_scaled):
-        scaled, _ = fixture_scaled
-        z = svdd.embed_batch(trained_svdd, scaled)
-        dist = np.sqrt(((z - trained_svdd.center) ** 2).sum(axis=1))
-        assert (dist <= trained_svdd.radius_proxy).mean() >= 0.99
-
     def test_score_zero_at_center(self):
         p = identity_net(2)
-        m = svdd.SvddModel(params=p, center=np.array([0.4, 0.6]), weight_decay=0.0)
+        m = svdd.SvddModel(params=p, center=np.array([0.4, 0.6]))
         assert svdd.distance_score_batch(m, np.array([[0.4, 0.6]]))[0] == pytest.approx(0.0)
 
     def test_score_monotone_in_distance(self):
         p = identity_net(1)
-        m = svdd.SvddModel(params=p, center=np.zeros(1), weight_decay=0.0)
+        m = svdd.SvddModel(params=p, center=np.zeros(1))
         assert (
             svdd.distance_score_batch(m, np.array([[0.2]]))[0]
             < svdd.distance_score_batch(m, np.array([[0.5]]))[0]
