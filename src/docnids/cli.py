@@ -185,8 +185,8 @@ def cmd_evaluate(args) -> int:
         raise DataError("evaluation needs both benign and attack rows")
     config = _svdd_config(args)
     echo = {
-        # a given list is checked against the data only where a network trains
-        "layer_dims": config.layer_dims or config.resolve_dims(ds.rows.shape[1]),
+        # checked against the data before any fold, whichever detectors run
+        "layer_dims": config.resolve_dims(ds.rows.shape[1]),
         "epochs": config.epochs,
         "batch_size": config.batch_size,
         "lr": config.lr,

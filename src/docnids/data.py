@@ -293,8 +293,11 @@ def fit_scaler(train: np.ndarray) -> ScalerParams:
     return ScalerParams(mins=train.min(axis=0), maxs=train.max(axis=0))
 
 
-def apply_scaler(p: ScalerParams, data: np.ndarray) -> np.ndarray:
-    """Affine map to [0, 1] with clamping; constant features map to 0."""
+def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Affine map to [0, 1] with clamping; constant features map to 0.
+
+    The result goes into ``out`` if given.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.shape[-1] != len(p.mins):
         raise DataError(
@@ -305,21 +308,25 @@ def apply_scaler(p: ScalerParams, data: np.ndarray) -> np.ndarray:
     # a value near the float64 limit overflows to +-inf, which the clip
     # below maps to 1 or 0; nothing to warn about
     with np.errstate(over="ignore"):
-        out = (data - p.mins) / safe
-    out[..., span == 0.0] = 0.0
-    return np.clip(out, 0.0, 1.0)
+        scaled = (data - p.mins) / safe
+    scaled[..., span == 0.0] = 0.0
+    return np.clip(scaled, 0.0, 1.0, out=out)
 
 
-def split_benign(ds: LabeledDataset, spec: SplitSpec) -> tuple[np.ndarray, LabeledDataset]:
-    """Seeded split of benign rows; all attack rows go to the test side."""
-    benign_idx = np.flatnonzero(ds.labels == 0)
+def split_benign_indices(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices of ``split_benign``'s two sides."""
+    benign_idx = np.flatnonzero(labels == 0)
     if benign_idx.size == 0:
         raise DataError("dataset contains no benign rows")
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(benign_idx)
     n_train = int(round(spec.benign_train_fraction * benign_idx.size))
-    train_idx = order[:n_train]
-    test_idx = np.concatenate([order[n_train:], np.flatnonzero(ds.labels == 1)])
+    return order[:n_train], np.concatenate([order[n_train:], np.flatnonzero(labels == 1)])
+
+
+def split_benign(ds: LabeledDataset, spec: SplitSpec) -> tuple[np.ndarray, LabeledDataset]:
+    """Seeded split of benign rows; all attack rows go to the test side."""
+    train_idx, test_idx = split_benign_indices(ds.labels, spec)
     test = LabeledDataset(
         columns=list(ds.columns),
         rows=ds.rows[test_idx],

@@ -19,7 +19,14 @@ from typing import Callable
 import numpy as np
 
 from . import hbos, pipeline, svdd
-from .data import LabeledDataset, SplitSpec, apply_scaler, fit_scaler, split_benign
+from .data import (
+    LabeledDataset,
+    ScalerParams,
+    SplitSpec,
+    apply_scaler,
+    fit_scaler,
+    split_benign_indices,
+)
 from .errors import DataError
 from .svdd import SvddConfig, SvddModel
 
@@ -249,26 +256,28 @@ def _evaluate_fold(
     train_x: np.ndarray,
     test_x: np.ndarray,
     test_y: np.ndarray,
+    scaler: ScalerParams,
+    network: SvddModel | None,
+    seconds: tuple[float, float],
     detectors: list[str],
-    config: SvddConfig,
     bins: int,
     contamination: float,
 ) -> list[tuple[FoldResult, float]]:
-    """Fit the scaler and scale the rows; if some detector uses the
-    network, train it and embed the train and test rows once; then fit,
-    threshold and score each detector on its rows.
+    """Scale the rows with the fold's scaler; if the fold has a network,
+    embed the train and test rows once; then fit, threshold and score
+    each detector on its rows.
 
-    Returns one (result, seconds) pair per detector, in order. A
-    detector's seconds count the shared scaling, the training and
-    embedding if it uses the network, and its own fit and scoring. The
-    fold's arrays live only in this call."""
+    ``seconds`` is the time the fold took before this call: fitting its
+    scaler, and its share of the training. Returns one (result, seconds)
+    pair per detector, in order. A detector's seconds count the scaling,
+    the training share and the embedding if it uses the network, and its
+    own fit and scoring. The fold's arrays live only in this call."""
+    scale_s, train_s = seconds
     start = time.perf_counter()
-    scaler = fit_scaler(train_x)
     scaled = (apply_scaler(scaler, train_x), apply_scaler(scaler, test_x))
     scaled_at = time.perf_counter()
-    network, embedded = None, None
-    if NETWORK_DETECTORS.intersection(detectors):
-        network = svdd.train(config, scaled[0])
+    embedded = None
+    if network is not None:
         embedded = tuple(svdd.embed_batch(network, x) for x in scaled)
     embedded_at = time.perf_counter()
     out = []
@@ -281,7 +290,9 @@ def _evaluate_fold(
         test_scores = detector.scores(test_in)
         cm = confusion(test_y, (test_scores > threshold).astype(np.int64))
         result = FoldResult(fold=fold, cm=cm, metrics=metrics(cm), auc=roc_auc(test_y, test_scores))
-        shared = (embedded_at if uses_network else scaled_at) - start
+        shared = scale_s + scaled_at - start
+        if uses_network:
+            shared += train_s + embedded_at - scaled_at
         out.append((result, shared + time.perf_counter() - own_start))
     return out
 
@@ -295,6 +306,16 @@ def benign_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
         raise DataError(f"need at least {k} benign rows for {k}-fold evaluation")
     rng = np.random.default_rng(seed)
     return np.array_split(rng.permutation(benign_idx), k)
+
+
+def _scaled_stack(rows, splits, scalers, members) -> np.ndarray:
+    """The (len(members), n, d) stack of the named folds' scaled training
+    rows, all n long, each written straight into its slice."""
+    n = len(splits[members[0]][0])
+    stack = np.empty((len(members), n, rows.shape[1]))
+    for x, i in zip(stack, members):
+        apply_scaler(scalers[i], rows[splits[i][0]], out=x)
+    return stack
 
 
 def evaluate(
@@ -317,31 +338,57 @@ def evaluate(
     plus every attack row. ``holdout``: a single seeded benign train/test
     split with every attack row in the test set. Per fold, the scaler is
     fitted, the network trained and the rows embedded once, and every
-    detector uses them."""
+    detector uses them.
+
+    If some detector uses the network, every fold's scaler is fitted
+    first; then each fold's scaled training rows are written into a
+    (folds, n, d) stack, one per training size (k folds have at most
+    two), and ``svdd.train`` fits every fold of a stack at once. The
+    stacks hold k copies of the training rows and are dropped before the
+    detectors run fold by fold. A report's ``wall_seconds`` gives each
+    fold an even share of its stack's training time."""
     if ds.n_attack == 0:
         raise DataError("dataset contains no attack rows")
     config = config or SvddConfig()
-    fold_args = (detectors, config, bins, contamination)
     if protocol == "kfold":
         folds = benign_folds(ds.labels, k, seed)
         attack_idx = np.flatnonzero(ds.labels == 1)
-        per_fold = []
+        splits = []
         for i, test_benign in enumerate(folds):
             if test_benign.size == 0:
                 raise DataError(f"fold {i} has zero benign test rows")
             train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-            test_idx = np.concatenate([test_benign, attack_idx])
-            per_fold.append(
-                _evaluate_fold(
-                    i, ds.rows[train_idx], ds.rows[test_idx], ds.labels[test_idx], *fold_args
-                )
-            )
+            splits.append((train_idx, np.concatenate([test_benign, attack_idx])))
     elif protocol == "holdout":
         k = 1
-        train_x, test = split_benign(ds, SplitSpec(train_fraction, seed))
-        per_fold = [_evaluate_fold(0, train_x, test.rows, test.labels, *fold_args)]
+        splits = [split_benign_indices(ds.labels, SplitSpec(train_fraction, seed))]
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
+
+    scalers, seconds = [], []
+    for train_idx, _ in splits:
+        start = time.perf_counter()
+        scalers.append(fit_scaler(ds.rows[train_idx]))
+        seconds.append([time.perf_counter() - start, 0.0])
+    networks: list[SvddModel | None] = [None] * len(splits)
+    if NETWORK_DETECTORS.intersection(detectors):
+        by_size: dict[int, list[int]] = {}
+        for i, (train_idx, _) in enumerate(splits):
+            by_size.setdefault(len(train_idx), []).append(i)
+        for members in by_size.values():
+            start = time.perf_counter()
+            models = svdd.train(config, _scaled_stack(ds.rows, splits, scalers, members))
+            share = (time.perf_counter() - start) / len(members)
+            for model, i in zip(models, members):
+                networks[i] = model
+                seconds[i][1] = share
+    per_fold = [
+        _evaluate_fold(
+            i, ds.rows[train_idx], ds.rows[test_idx], ds.labels[test_idx], scalers[i],
+            networks[i], tuple(seconds[i]), detectors, bins, contamination,
+        )
+        for i, (train_idx, test_idx) in enumerate(splits)
+    ]
     reports = []
     for j, name in enumerate(detectors):
         report = EvalReport(

@@ -87,10 +87,11 @@ def _check_input(x: np.ndarray, name: str, dim: int) -> np.ndarray:
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Map a (n, d) batch through the network, preserving row order."""
+    """Map a (n, d) batch, or a (k, n, d) stack of batches, through the
+    network, preserving row order."""
     x = _check_input(x, "input batch", params.layer_dims[0])
-    acts = backend.forward_pass(params.layers, x, params.activation.slope)
-    return acts[-1]
+    buf = backend.PassBuffers(params.layer_dims, x.shape[:-1], backward=False)
+    return backend.forward_pass(params.layers, x, params.activation.slope, buf)[-1]
 
 
 def backprop_batch(params: MlpParams, x: np.ndarray, dl_dz: np.ndarray) -> Gradients:
@@ -102,9 +103,10 @@ def backprop_batch(params: MlpParams, x: np.ndarray, dl_dz: np.ndarray) -> Gradi
     """
     x = _check_input(x, "input batch", params.layer_dims[0])
     dl_dz = _check_input(dl_dz, "output gradient batch", params.layer_dims[-1])
-    acts = backend.forward_pass(params.layers, x, params.activation.slope)
+    buf = backend.PassBuffers(params.layer_dims, x.shape[:-1])
+    acts = backend.forward_pass(params.layers, x, params.activation.slope, buf)
     grads = [np.empty_like(w) for w in params.layers]
-    backend.backward_pass(params.layers, acts, dl_dz, params.activation.slope, grads)
+    backend.backward_pass(params.layers, acts, dl_dz, grads, buf)
     return Gradients(layers=grads)
 
 

@@ -69,7 +69,7 @@ def fit(
     """
     if not 0.0 < contamination < 1.0:
         raise ValueError(f"contamination must be in (0, 1), got {contamination}")
-    model = svdd.train(config, benign_scaled)
+    (model,) = svdd.train(config, np.asarray(benign_scaled)[None])
     z = svdd.embed_batch(model, benign_scaled)
     hist = hbos.fit_histograms(z, bins)
     scores = hbos.hbos_score_batch(hist, z)

@@ -7,7 +7,6 @@ eps-adjusted mean of the initial embeddings and is never trained.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,86 +78,148 @@ def svdd_loss(params: MlpParams, batch: np.ndarray, c: np.ndarray, weight_decay:
     z = nn.forward_batch(params, batch)
     if len(c) != z.shape[1]:
         raise ValueError(f"center has length {len(c)}, expected {z.shape[1]}")
-    return _loss(z - c, params.layers, weight_decay)
+    return float(_loss(z - c, params.layers, weight_decay))
 
 
-def _loss(diff: np.ndarray, layers: list[np.ndarray], weight_decay: float) -> float:
-    """The objective of ``svdd_loss`` from the residuals ``diff = z - c``.
+def _loss(diff: np.ndarray, layers: list[np.ndarray], weight_decay: float, sq=None):
+    """The objective of ``svdd_loss`` from the residuals ``diff = z - c``,
+    one value per stack member when ``diff`` is (k, n, m) and each layer
+    (k, out, in). ``sq``, if given, receives ``diff**2``.
 
     ``.sum() / n`` is the same float as ``.mean()``, with fewer calls.
     """
-    dist = (diff**2).sum(axis=1).sum() / diff.shape[0]
-    reg = 0.5 * weight_decay * sum(float((w**2).sum()) for w in layers)
-    return float(dist + reg)
+    sq = np.square(diff, out=sq)
+    dist = sq.sum(axis=-1).sum(axis=-1) / diff.shape[-2]
+    reg = sum((w**2).sum(axis=(-2, -1)) for w in layers)
+    return dist + 0.5 * weight_decay * reg
 
 
 def _layer_views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Consecutive slices of ``flat`` reshaped to the shapes of ``like``."""
+    """Consecutive slices of the last axis of ``flat`` reshaped to the
+    shapes of ``like``, behind the leading axes of ``flat``."""
     views, start = [], 0
     for w in like:
-        views.append(flat[start : start + w.size].reshape(w.shape))
+        views.append(flat[..., start : start + w.size].reshape(*flat.shape[:-1], *w.shape))
         start += w.size
     return views
 
 
-def train(config: SvddConfig, train_x: np.ndarray) -> SvddModel:
-    """Run epochs of shuffled mini-batch SGD on the hypersphere objective.
+class _BatchBuffers:
+    """Every batch-sized array one training step reads or writes, for
+    batches of ``nb`` rows of a k-stack with (k, m) ``centers``."""
 
-    The weights live in one flat buffer ``theta``, with ``params.layers``
-    as reshaped views of it, and every batch's gradient is written into
-    one flat buffer ``grad`` with matching views. The weight decay, the
-    finite-gradient check and the step are then one call each over all
-    layers: elementwise the same arithmetic as ``nn.sgd_step`` on the
-    gradient plus ``weight_decay * w``, so the weights come out bit-equal.
+    def __init__(self, dims: list[int], centers: np.ndarray, nb: int):
+        k = len(centers)
+        self.x = np.empty((k, nb, dims[0]))
+        self.passes = backend.PassBuffers(dims, (k, nb))
+        # each member's center on every row, so the residual is a plain
+        # elementwise subtraction
+        self.centers = np.repeat(centers[:, None, :], nb, axis=1)
+        self.diff = np.empty_like(self.centers)
+        self.delta = np.empty_like(self.centers)
+        self.sq = np.empty_like(self.centers)
 
-    Returns the weights, the center and the per-epoch loss; the weight
-    decay only shapes training and is not kept.
 
-    Deterministic for a fixed seed. Raises TrainingDivergedError if the
-    loss goes non-finite, naming the epoch and batch.
+def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
+    """Run epochs of shuffled mini-batch SGD on the hypersphere objective,
+    once for each training set of a (k, n, d) stack; ``pipeline.fit``
+    passes k = 1, ``evaluation.evaluate`` one fold per member.
+
+    Every member starts from the same weights (``config.seed``) and takes
+    its batches in the same row order (``config.seed + 1``), so the
+    members train side by side: the weights are one (k, P) buffer
+    ``theta``, each layer a (k, out, in) view of it, and each product is
+    one batched matmul whose k products are the ones a member trained
+    alone would make. The gradient is one (k, P) buffer ``grad`` with
+    matching views; the weight decay, the finite-gradient check and the
+    step are one call each over all members and layers: elementwise the
+    same arithmetic as ``nn.sgd_step`` on the gradient plus
+    ``weight_decay * w``. So each member's weights, center and loss
+    history are bit-equal to training it alone. Every batch-sized array
+    is a buffer allocated once per batch size (the last batch of an epoch
+    may be shorter), so a step allocates none.
+
+    Returns one model per member: the weights, the center and the
+    per-epoch loss; the weight decay only shapes training and is not kept.
+
+    Deterministic for a fixed seed. If a member's loss goes non-finite,
+    the error (TrainingDivergedError, naming the epoch and batch) is its
+    own; a diverged member's NaNs stay in its own slice while the others
+    train on, and the error raised is that of the lowest-index member
+    that failed, as training the members one after another would raise.
     """
     config.validate()
-    train_x = np.asarray(train_x, dtype=np.float64)
-    if train_x.size == 0:
+    # contiguous, or every batch's take would copy the whole stack
+    stack = np.ascontiguousarray(stack, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a (k, n, d) stack of training sets, got shape {stack.shape}")
+    if stack.size == 0:
         raise ValueError("training set is empty")
-    dims = config.resolve_dims(train_x.shape[1])
+    k, n, d = stack.shape
+    dims = config.resolve_dims(d)
     params = nn.init_params(dims, config.seed, config.activation)
-    c = init_center(params, train_x, config.center_eps)
-    theta = np.concatenate([w.ravel() for w in params.layers])
-    params.layers = _layer_views(theta, params.layers)
+    centers = np.stack([init_center(params, x, config.center_eps) for x in stack])
+    theta = np.repeat(np.concatenate([w.ravel() for w in params.layers])[None], k, axis=0)
+    weights = _layer_views(theta, params.layers)
     grad = np.empty_like(theta)
     grads = _layer_views(grad, params.layers)
+    step = np.empty_like(theta)  # weight_decay * theta, then lr * grad
+    finite = np.empty(theta.shape, dtype=bool)
 
+    bs = min(config.batch_size, n)
+    buffers = {nb: _BatchBuffers(dims, centers, nb) for nb in {bs, n % bs or bs}}
     slope = config.activation.slope
     rng = np.random.default_rng(config.seed + 1)
-    n = train_x.shape[0]
-    history: list[tuple[int, float]] = []
+    history: list[np.ndarray] = []
+    errors: dict[int, Exception] = {}
     # A diverging run overflows in the passes and the loss before the
     # non-finite loss check below stops it; that check is the one report.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(n)
-            epoch_loss = 0.0
-            for b, start in enumerate(range(0, n, config.batch_size)):
-                # the same rows as train_x[idx], with less overhead per call
-                batch = train_x.take(order[start : start + config.batch_size], axis=0)
-                nb = batch.shape[0]
-                acts = backend.forward_pass(params.layers, batch, slope)
-                diff = acts[-1] - c
-                delta = 2.0 * diff / nb
-                backend.backward_pass(params.layers, acts, delta, slope, grads)
-                loss = _loss(diff, params.layers, config.weight_decay)
-                if not math.isfinite(loss):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, batch {b}"
-                    )
-                grad += config.weight_decay * theta
-                if not np.isfinite(grad).all():
-                    raise ValueError("non-finite gradient entries")
-                theta -= config.lr * grad
+            epoch_loss = np.zeros(k)
+            for b, start in enumerate(range(0, n, bs)):
+                idx = order[start : start + bs]
+                nb = len(idx)
+                buf = buffers[nb]
+                # the same rows as stack[:, idx], with less overhead per call
+                batch = stack.take(idx, axis=1, out=buf.x, mode="clip")
+                acts = backend.forward_pass(weights, batch, slope, buf.passes)
+                diff = np.subtract(acts[-1], buf.centers, out=buf.diff)
+                delta = np.multiply(diff, 2.0, out=buf.delta)
+                delta /= nb
+                backend.backward_pass(weights, acts, delta, grads, buf.passes)
+                loss = _loss(diff, weights, config.weight_decay, buf.sq)
+                grad += np.multiply(theta, config.weight_decay, out=step)
+                grad_ok = np.isfinite(grad, out=finite).all(axis=1)
+                loss_ok = np.isfinite(loss)
+                if not (loss_ok.all() and grad_ok.all()):
+                    for i in np.flatnonzero(~(loss_ok & grad_ok)):
+                        errors.setdefault(
+                            int(i),
+                            TrainingDivergedError(f"non-finite loss at epoch {epoch}, batch {b}")
+                            if not loss_ok[i]
+                            else ValueError("non-finite gradient entries"),
+                        )
+                    if 0 in errors:  # no member can fail before member 0
+                        raise errors[0]
+                theta -= np.multiply(grad, config.lr, out=step)
                 epoch_loss += loss * nb
-            history.append((epoch, epoch_loss / n))
-    return SvddModel(params=params, center=c, train_history=history)
+            history.append(epoch_loss / n)
+    if errors:
+        raise errors[min(errors)]
+    return [
+        SvddModel(
+            params=MlpParams(
+                layers=_layer_views(theta[i], params.layers),
+                activation=config.activation,
+                layer_dims=dims,
+            ),
+            center=centers[i],
+            train_history=[(epoch, float(h[i])) for epoch, h in enumerate(history)],
+        )
+        for i in range(k)
+    ]
 
 
 def embed_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ def fixture_scaled(fixture_ds):
 @pytest.fixture(scope="session")
 def trained_svdd(fixture_scaled):
     scaled, _ = fixture_scaled
-    return svdd.train(svdd.SvddConfig(seed=0), scaled)
+    (model,) = svdd.train(svdd.SvddConfig(seed=0), scaled[None])
+    return model
 
 
 @pytest.fixture

@@ -97,7 +97,7 @@ def test_criterion_4_training_contraction(fixture_scaled):
     initial_params = nn.init_params(cfg.resolve_dims(scaled.shape[1]), cfg.seed, cfg.activation)
     center = svdd.init_center(initial_params, scaled, cfg.center_eps)
     d_init = svdd.distances_sq(nn.forward_batch(initial_params, scaled), center).mean()
-    model = svdd.train(cfg, scaled)
+    (model,) = svdd.train(cfg, scaled[None])
     d_final = svdd.distances_sq(nn.forward_batch(model.params, scaled), model.center).mean()
     elapsed = time.perf_counter() - start
     assert d_final <= 0.5 * d_init

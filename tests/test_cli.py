@@ -354,6 +354,15 @@ class TestEvaluate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
 
+    @pytest.mark.parametrize("detectors", ["hbos", "pca", "doc", "svdd,hbos"])
+    def test_layer_dims_not_matching_the_data_exit_2(self, dataset_csv, capsys, detectors):
+        # checked before any fold, also when no detector trains a network
+        argv = ["evaluate", "--input", str(dataset_csv), "--detectors", detectors]
+        assert run(argv + ["--layer-dims", "5,4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: layer_dims[0]=5 does not match data dim 6\n"
+
     def test_single_class_exits_3(self, tmp_path):
         only_benign = tmp_path / "benign.csv"
         only_benign.write_text("x,Label\n" + "".join(f"{v},0\n" for v in range(20)))

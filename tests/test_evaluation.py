@@ -209,9 +209,9 @@ class TestSharedNetwork:
         calls = []
         real = svdd.train
 
-        def train(config, train_x):
-            calls.append(len(train_x))
-            return real(config, train_x)
+        def train(config, stack):
+            calls.append(stack.shape[:2])
+            return real(config, stack)
 
         monkeypatch.setattr(svdd, "train", train)
         return calls
@@ -221,7 +221,9 @@ class TestSharedNetwork:
         calls = self.counted_train(monkeypatch)
         reports = evaluate(small_ds, ["doc", "svdd"], self.config, seed=3, **PROTOCOLS[protocol])
         assert [r.detector for r in reports] == ["doc", "svdd"]
-        assert len(calls) == len(reports[0].folds) == (4 if protocol == "kfold" else 1)
+        # one stack per training size, holding each fold once
+        assert sum(k for k, _ in calls) == len(reports[0].folds) == (4 if protocol == "kfold" else 1)
+        assert len({n for _, n in calls}) == len(calls)
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_doc_and_svdd_embed_each_row_set_once_per_fold(
@@ -290,7 +292,7 @@ class TestNetworkDetectorsMatchTheirScorers:
 
     def test_svdd_is_distance_score_batch(self, small_ds, split):
         scaled, scaler, test = split
-        network = svdd.train(self.config, scaled)
+        (network,) = svdd.train(self.config, scaled[None])
         threshold = pipeline.threshold_from_scores(svdd.distance_score_batch(network, scaled), 0.1)
         scores = svdd.distance_score_batch(network, data.apply_scaler(scaler, test.rows))
         self.assert_fold_matches(small_ds, "svdd", scores, threshold, test)

@@ -99,21 +99,60 @@ SPECIAL_VALUES = np.array(
 )
 
 
+def special_value_net(k=None):
+    """Weights whose first layer turns the one-column SPECIAL_VALUES input
+    into pre-activations holding every special value (one product x * w
+    each), unstacked, or stacked k deep with different weights per
+    member; and that input, stacked k deep in different row orders."""
+    w0 = np.array([[1.0], [-1.0], [0.5], [3.0]])
+    w1 = np.ones((2, 4))
+    x = SPECIAL_VALUES[:, None]
+    if k is None:
+        return [w0, w1], x
+    order = np.random.default_rng(0).permutation
+    return (
+        [np.stack([w0 * (i + 1) for i in range(k)]), np.stack([w1] * k)],
+        np.stack([x[order(len(x))] for _ in range(k)]),
+    )
+
+
 class TestKernelOracle:
     @pytest.mark.parametrize("activation", list(Activation))
     def test_forward_activation_is_bit_equal_to_where(self, activation):
         slope = activation.slope
-        x = SPECIAL_VALUES[:, None]
-        # one input column, so each pre-activation is one product x * w
-        weights = [np.array([[1.0], [-1.0], [0.5], [3.0]]), np.ones((2, 4))]
-        z = x @ weights[0].T
-        assert np.isnan(z).any() and np.isposinf(z).any() and np.isneginf(z).any()
-        assert (z == 0.0).any() and (np.abs(z[np.isfinite(z) & (z != 0)]) < 1e-307).any()
-        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf are NaN here
-            expected = np.where(z > 0.0, z, slope * z)
-            acts = backend.forward_pass(weights, x, slope)
-        assert acts[0] is x
-        assert np.array_equal(acts[1].view(np.int64), expected.view(np.int64))
+        for k in (None, 3):
+            weights, x = special_value_net(k)
+            z = x @ weights[0].swapaxes(-1, -2)
+            assert np.isnan(z).any() and np.isposinf(z).any() and np.isneginf(z).any()
+            assert (z == 0.0).any() and (np.abs(z[np.isfinite(z) & (z != 0)]) < 1e-307).any()
+            with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf are NaN here
+                expected = np.where(z > 0.0, z, slope * z)
+                buf = backend.PassBuffers([1, 4, 2], x.shape[:-1])
+                acts = backend.forward_pass(weights, x, slope, buf)
+            assert acts[0] is x
+            assert np.array_equal(acts[1].view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_backward_derivative_is_bit_equal_to_where(self, activation):
+        slope = activation.slope
+        for k in (None, 3):
+            weights, x = special_value_net(k)
+            buf = backend.PassBuffers([1, 4, 2], x.shape[:-1])
+            with np.errstate(invalid="ignore"):
+                acts = backend.forward_pass(weights, x, slope, buf)
+                # halves and ones: every entry of delta @ w1 is exact
+                delta = np.resize(np.array([0.5, -1.5, 2.0]), (*x.shape[:-1], 2))
+                grads = [np.empty_like(w) for w in weights]
+                backend.backward_pass(weights, acts, delta, grads, buf)
+                expected_grad = delta.swapaxes(-1, -2) @ acts[1]
+            a = acts[1]
+            # the rectifier maps -inf to NaN (-inf * 0)
+            assert np.isnan(a).any() and np.isposinf(a).any()
+            assert np.isneginf(a).any() == (slope > 0.0)
+            assert (a == 0.0).any() and (np.abs(a[np.isfinite(a) & (a != 0)]) < 1e-307).any()
+            expected = (delta @ weights[1]) * np.where(a > 0.0, 1.0, slope)
+            assert np.array_equal(buf.deltas[0].view(np.int64), expected.view(np.int64))
+            assert np.array_equal(grads[1], expected_grad, equal_nan=True)
 
     def test_backward_into_reused_arrays_equals_fresh_arrays(self, rng):
         p = nn.init_params([5, 7, 4, 3], seed=8)
@@ -122,10 +161,11 @@ class TestKernelOracle:
         for n in (6, 2):
             x = rng.normal(size=(n, 5))
             delta = rng.normal(size=(n, 3))
-            acts = backend.forward_pass(p.layers, x, slope)
+            buf = backend.PassBuffers(p.layer_dims, (n,))
+            acts = backend.forward_pass(p.layers, x, slope, buf)
             fresh = [np.empty_like(w) for w in p.layers]
-            backend.backward_pass(p.layers, acts, delta, slope, fresh)
-            backend.backward_pass(p.layers, acts, delta, slope, reused)
+            backend.backward_pass(p.layers, acts, delta, fresh, buf)
+            backend.backward_pass(p.layers, acts, delta, reused, buf)
             assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
 
 

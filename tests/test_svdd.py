@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from docnids import backend, nn, svdd
+from docnids import backend, data, evaluation, nn, svdd
 from docnids.errors import TrainingDivergedError
 from docnids.nn import Activation, MlpParams
 from docnids.svdd import SvddConfig
@@ -92,7 +92,7 @@ class TestTrain:
     def test_zero_epochs_returns_init(self):
         x = np.random.default_rng(0).uniform(size=(10, 4))
         cfg = SvddConfig(layer_dims=[4, 3, 2], epochs=0, seed=3)
-        m = svdd.train(cfg, x)
+        (m,) = svdd.train(cfg, x[None])
         p0 = nn.init_params([4, 3, 2], seed=3)
         for a, b in zip(m.params.layers, p0.layers):
             assert np.array_equal(a, b)
@@ -101,8 +101,8 @@ class TestTrain:
     def test_deterministic(self):
         x = np.random.default_rng(1).uniform(size=(50, 4))
         cfg = SvddConfig(layer_dims=[4, 8, 2], epochs=3, batch_size=16, seed=7)
-        a = svdd.train(cfg, x)
-        b = svdd.train(cfg, x)
+        (a,) = svdd.train(cfg, x[None])
+        (b,) = svdd.train(cfg, x[None])
         for wa, wb in zip(a.params.layers, b.params.layers):
             assert np.array_equal(wa, wb)
         assert a.train_history == b.train_history
@@ -112,12 +112,12 @@ class TestTrain:
         cfg = SvddConfig(layer_dims=[4, 8, 2], epochs=3, batch_size=16, seed=7)
         p0 = nn.init_params([4, 8, 2], seed=7)
         expected_c = svdd.init_center(p0, x, cfg.center_eps)
-        m = svdd.train(cfg, x)
+        (m,) = svdd.train(cfg, x[None])
         assert np.array_equal(m.center, expected_c)
 
     def test_loss_decreases_on_fixture(self, fixture_scaled):
         scaled, _ = fixture_scaled
-        m = svdd.train(SvddConfig(seed=0), scaled)
+        (m,) = svdd.train(SvddConfig(seed=0), scaled[None])
         assert m.train_history[-1][1] < m.train_history[0][1]
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -125,7 +125,7 @@ class TestTrain:
         x = np.full((8, 2), 1e150)
         cfg = SvddConfig(layer_dims=[2, 2], epochs=2, batch_size=4, lr=1e3, seed=0)
         with pytest.raises(TrainingDivergedError, match=r"epoch \d+, batch \d+"):
-            svdd.train(cfg, x)
+            svdd.train(cfg, x[None])
 
     def test_history_losses_finite(self, trained_svdd):
         assert all(np.isfinite(loss) for _, loss in trained_svdd.train_history)
@@ -153,7 +153,7 @@ class TestTrain:
     )
     def test_in_place_step_matches_sgd_step(self, fixture_scaled, config):
         scaled, _ = fixture_scaled
-        model = svdd.train(config, scaled)
+        (model,) = svdd.train(config, scaled[None])
         params, history = reference_train(config, scaled)
         assert all(np.array_equal(a, b) for a, b in zip(model.params.layers, params.layers))
         assert model.train_history == history
@@ -162,13 +162,13 @@ class TestTrain:
         x = np.random.default_rng(1).uniform(size=(20, 4))
         cfg = SvddConfig(layer_dims=[4, 3, 2], epochs=1, batch_size=8, seed=2)
 
-        def nan_gradients(weights, acts, delta, slope, grads):
+        def nan_gradients(weights, acts, delta, grads, buf):
             for g in grads:
                 g.fill(np.nan)
 
         monkeypatch.setattr(backend, "backward_pass", nan_gradients)
         with pytest.raises(ValueError, match="non-finite gradient"):
-            svdd.train(cfg, x)
+            svdd.train(cfg, x[None])
 
     @pytest.mark.parametrize("layer", [0, -1], ids=["first", "last"])
     def test_non_finite_gradient_in_one_layer_is_rejected(self, monkeypatch, layer):
@@ -176,18 +176,19 @@ class TestTrain:
         cfg = SvddConfig(layer_dims=[4, 3, 2], epochs=1, batch_size=8, seed=2)
         real_backward_pass = backend.backward_pass
 
-        def one_nan_layer(weights, acts, delta, slope, grads):
-            real_backward_pass(weights, acts, delta, slope, grads)
+        def one_nan_layer(weights, acts, delta, grads, buf):
+            real_backward_pass(weights, acts, delta, grads, buf)
             grads[layer].fill(np.nan)
 
         monkeypatch.setattr(backend, "backward_pass", one_nan_layer)
         with pytest.raises(ValueError, match="non-finite gradient entries"):
-            svdd.train(cfg, x)
+            svdd.train(cfg, x[None])
 
 
 def reference_train(config, x):
-    """svdd.train's epochs, with each step taken by ``nn.sgd_step`` on a
-    new ``nn.Gradients`` holding the weight-decay gradient."""
+    """svdd.train's epochs on one training set, with each step taken by
+    ``nn.sgd_step`` on a new ``nn.Gradients`` holding the weight-decay
+    gradient, and the loss summed in its own code."""
     params = nn.init_params(config.resolve_dims(x.shape[1]), config.seed, config.activation)
     c = svdd.init_center(params, x, config.center_eps)
     rng = np.random.default_rng(config.seed + 1)
@@ -198,7 +199,11 @@ def reference_train(config, x):
         for start in range(0, len(x), config.batch_size):
             batch = x[order[start : start + config.batch_size]]
             z = nn.forward_batch(params, batch)
-            loss = svdd.svdd_loss(params, batch, c, config.weight_decay)
+            # the loss of one 2-D batch as the single-set trainer summed it:
+            # each row's squares, then the rows
+            dist = ((z - c) ** 2).sum(axis=1).sum() / len(batch)
+            reg = 0.5 * config.weight_decay * sum(float((w**2).sum()) for w in params.layers)
+            loss = float(dist + reg)
             grads = nn.backprop_batch(params, batch, 2.0 * (z - c) / len(batch))
             decayed = nn.Gradients(
                 layers=[g + config.weight_decay * w for g, w in zip(grads.layers, params.layers)]
@@ -207,6 +212,98 @@ def reference_train(config, x):
             epoch_loss += loss * len(batch)
         history.append((epoch, epoch_loss / len(x)))
     return params, history
+
+
+def assert_same_model(model, params, center, history):
+    assert all(np.array_equal(a, b) for a, b in zip(model.params.layers, params.layers))
+    assert np.array_equal(model.center, center)
+    assert model.train_history == history
+
+
+def assert_members_trained_alone(config, stack, models):
+    """Each member of the stack comes out bit-equal, weights, center and
+    loss history, to training it alone (k = 1) and to ``reference_train``."""
+    assert len(models) == len(stack)
+    for x, model in zip(stack, models):
+        (alone,) = svdd.train(config, x[None])
+        assert_same_model(model, alone.params, alone.center, alone.train_history)
+        params, history = reference_train(config, x)
+        initial = nn.init_params(config.resolve_dims(x.shape[1]), config.seed, config.activation)
+        assert_same_model(model, params, svdd.init_center(initial, x, config.center_eps), history)
+
+
+class TestStackedTraining:
+    """One ``svdd.train`` call on a (k, n, d) stack is k trainings side by
+    side: it returns what the k trainings one after another return, and
+    raises what they raise."""
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_members_equal_trained_alone(self, fixture_scaled, activation):
+        scaled, _ = fixture_scaled
+        config = SvddConfig(epochs=4, batch_size=64, seed=4, activation=activation)
+        rng = np.random.default_rng(5)
+        stack = np.stack([scaled[rng.permutation(len(scaled))[:700]] for _ in range(3)])
+        assert_members_trained_alone(config, stack, svdd.train(config, stack))
+
+    def test_three_layers_with_ragged_batches(self):
+        ds = data.synth_generate(600, 10, 6, 0.6, seed=2)
+        rng = np.random.default_rng(6)
+        stack = np.stack([ds.rows[rng.permutation(600)[:271]] for _ in range(3)])
+        config = SvddConfig(layer_dims=[6, 16, 8, 4], epochs=2, batch_size=7, seed=3)
+        assert 271 % 7
+        assert_members_trained_alone(config, stack, svdd.train(config, stack))
+
+    def test_evaluate_with_two_stack_sizes(self, monkeypatch):
+        ds = data.synth_generate(271, 30, 6, 0.6, seed=1)
+        config = SvddConfig(layer_dims=[6, 16, 8, 4], epochs=2, batch_size=7, seed=0)
+        trained = []
+        real = svdd.train
+
+        def train(config, stack):
+            models = real(config, stack)
+            trained.append((stack.copy(), models))
+            return models
+
+        monkeypatch.setattr(svdd, "train", train)
+        evaluation.evaluate(ds, ["doc"], config, k=3, seed=0)
+        monkeypatch.undo()
+        # 271 benign rows in 3 folds: one fold of 91 and two of 90
+        assert sorted(stack.shape[:2] for stack, _ in trained) == [(1, 180), (2, 181)]
+        for stack, models in trained:
+            assert_members_trained_alone(config, stack, models)
+
+    # lr 2 on this table: scale 1 trains, scale 4 diverges at epoch 2 and
+    # scale 8 at epoch 1
+    diverging = SvddConfig(layer_dims=[4, 6, 2], epochs=30, batch_size=8, lr=2.0, seed=1)
+
+    @pytest.fixture
+    def rows(self):
+        return np.random.default_rng(3).uniform(size=(40, 4))
+
+    def first_error(self, stack):
+        """The error the members raise when trained one after another."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in stack:
+                svdd.train(self.diverging, x[None])
+        raise AssertionError("no member diverged")
+
+    @pytest.mark.parametrize(
+        "scales, epoch",
+        [((1.0, 4.0, 8.0), 2), ((4.0, 8.0), 2), ((1.0, 8.0, 4.0), 1)],
+        ids=["late_before_early", "first_diverges_last", "early_before_late"],
+    )
+    def test_divergence_raises_the_lowest_member_error(self, rows, scales, epoch):
+        stack = np.stack([rows * s for s in scales])
+        with pytest.raises(TrainingDivergedError) as alone:
+            self.first_error(stack)
+        assert f"epoch {epoch}," in str(alone.value)
+        with pytest.raises(TrainingDivergedError) as stacked:
+            svdd.train(self.diverging, stack)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_rejects_unstacked_rows(self, rows):
+        with pytest.raises(ValueError, match=r"\(k, n, d\) stack"):
+            svdd.train(SvddConfig(layer_dims=[4, 2], epochs=1), rows)
 
 
 class TestEmbedAndScore:
