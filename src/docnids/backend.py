@@ -91,4 +91,5 @@ def hbos_scores(
     idx = np.clip(idx, 0, k - 1)
     idx[:, width == 0.0] = 0
     h = heights[np.arange(d)[None, :], idx]
-    return -np.log(np.maximum(h, floor)).sum(axis=1)
+    # 0.0 - sum, not -sum: a row in every tallest bin scores +0.0
+    return 0.0 - np.log(np.maximum(h, floor)).sum(axis=1)

@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import data, evaluation, pipeline
 from .errors import DataError, ModelFormatError, TrainingDivergedError
 from .nn import Activation
@@ -23,6 +21,9 @@ EXIT_OK = 0
 EXIT_FLAG = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
+
+# The keys every entry of a saved report must hold; "folds" may be absent.
+REPORT_KEYS = ("detector", "protocol", "k", "contamination", "seed", "config", "summary")
 
 
 class CliError(Exception):
@@ -110,9 +111,7 @@ def cmd_train(args) -> int:
         raise DataError("no benign rows to train on")
     if args.train_fraction is not None:
         spec = data.SplitSpec(args.train_fraction, args.seed)
-        benign, _ = data.split_benign(
-            data.LabeledDataset(ds.columns, benign, np.zeros(len(benign), np.int64)), spec
-        )
+        benign = ds.rows[data.split_benign_indices(ds.labels, spec)[0]]
     scaler = data.fit_scaler(benign)
     scaled = data.apply_scaler(scaler, benign)
     config = _svdd_config(args)
@@ -168,9 +167,9 @@ def _detector_names(text: str) -> list[str]:
     if not names:
         raise CliError(f"--detectors names no detector, got {text!r}", EXIT_FLAG)
     for i, n in enumerate(names):
-        if n not in evaluation.DETECTOR_FACTORIES:
+        if n not in evaluation.DETECTORS:
             raise CliError(
-                f"unknown detector {n!r}; choose from {sorted(evaluation.DETECTOR_FACTORIES)}",
+                f"unknown detector {n!r}; choose from {sorted(evaluation.DETECTORS)}",
                 EXIT_FLAG,
             )
         if n in names[:i]:
@@ -214,9 +213,8 @@ def cmd_evaluate(args) -> int:
         "benchmark and results on external datasets will differ from reported values."
     )
     if args.out_json:
-        payload = {"reports": [json.loads(r.to_json()) for r in reports]}
         with open(args.out_json, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
+            json.dump({"reports": reports}, f, indent=2, sort_keys=True)
         print(f"json report written to {args.out_json}")
     if args.out_table:
         with open(args.out_table, "w", encoding="utf-8") as f:
@@ -240,21 +238,14 @@ def cmd_report(args) -> int:
         raise DataError(
             f"{args.json}: not a valid report file: expected an object holding a 'reports' list"
         )
-    reports = []
     try:
         for doc in entries:
-            r = evaluation.EvalReport(
-                detector=doc["detector"], protocol=doc["protocol"], k=doc["k"],
-                contamination=doc["contamination"], seed=doc["seed"], config=doc["config"],
-                folds=[], wall_seconds=doc.get("wall_seconds", 0.0),
-                summary=doc["summary"],
-            )
-            r.folds = [None] * len(doc.get("folds", []))  # only the summary is rendered
-            reports.append(r)
-        table = evaluation.render_table(reports)
+            for key in REPORT_KEYS:
+                doc[key]  # raises for a missing key or an entry that is not an object
+        table = evaluation.render_table(entries)
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise DataError(f"{args.json}: incomplete report entry ({type(e).__name__}: {e})")
-    if not reports:
+    if not entries:
         raise DataError(f"{args.json}: no reports found")
     print(table)
     return EXIT_OK

@@ -1,19 +1,19 @@
 """Metrics, ROC-AUC, the benign k-fold protocol, and baseline detectors.
 
-All detectors share one interface: fit on a benign-only matrix,
-returning its scores, then score rows (higher = more anomalous). The
-harness owns fold construction, per-fold scaling, the per-fold network
-and thresholding, so every detector sees identical data within a run.
-``hbos`` and ``pca`` see the scaled rows; ``doc`` (``hbos`` of the
-pipeline) and ``svdd`` (distance to the center) see the rows'
-embeddings under the fold's network, made once per fold.
+Every detector is one function: fitted on a fold's benign-only training
+rows, it returns the scores of those rows and of the test rows (higher =
+more anomalous). The harness owns fold construction, per-fold scaling,
+the per-fold network and thresholding, so every detector sees identical
+data within a run. ``hbos`` and ``pca`` see the scaled rows; ``doc``
+(``hbos`` of the pipeline) and ``svdd`` (distance to the center) see the
+rows' embeddings under the fold's network, made once per fold. Each
+report is the JSON-ready document that ``evaluate --out-json`` writes.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -117,138 +117,65 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-class HbosDetector:
-    """Histogram scoring of the rows it is given: the scaled features for
+def fit_hbos(train, test, network, bins):
+    """Histogram scores of the rows it is given: the scaled features for
     ``hbos``, the fold's embeddings for ``doc``."""
-
-    def __init__(self, bins: int = 10):
-        self.bins = bins
-        self.hist = None
-
-    def fit(self, benign: np.ndarray) -> np.ndarray:
-        self.hist = hbos.fit_histograms(benign, self.bins)
-        return self.scores(benign)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return hbos.hbos_score_batch(self.hist, x)
+    hist = hbos.fit_histograms(train, bins)
+    return hbos.hbos_score_batch(hist, train), hbos.hbos_score_batch(hist, test)
 
 
-class SvddDetector:
+def fit_svdd(train, test, network, bins):
     """Squared distance of the fold's embeddings to the network's center."""
-
-    def __init__(self, center: np.ndarray):
-        self.center = center
-
-    def fit(self, benign: np.ndarray) -> np.ndarray:
-        return self.scores(benign)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return svdd.distances_sq(x, self.center)
+    return svdd.distances_sq(train, network.center), svdd.distances_sq(test, network.center)
 
 
-class PcaDetector:
-    """Squared reconstruction error from the top principal components
-    explaining at least ``variance_target`` of the variance."""
+PCA_VARIANCE_TARGET = 0.9
 
-    def __init__(self, variance_target: float = 0.9):
-        self.variance_target = variance_target
-        self.mean = None
-        self.components = None  # (m, d), rows orthonormal
 
-    def fit(self, benign: np.ndarray) -> np.ndarray:
-        benign = np.asarray(benign, dtype=np.float64)
-        self.mean = benign.mean(axis=0)
-        centered = benign - self.mean
-        cov = centered.T @ centered / max(len(benign) - 1, 1)
-        evals, evecs = np.linalg.eigh(cov)
-        evals, evecs = evals[::-1], evecs[:, ::-1]
-        evals = np.clip(evals, 0.0, None)
-        total = evals.sum()
-        rank = int((evals > 1e-12 * max(total, 1.0)).sum())
-        if total <= 0:
-            m = 1
-        else:
-            ratio = np.cumsum(evals) / total
-            m = int(np.searchsorted(ratio, self.variance_target) + 1)
-        m = max(1, min(m, rank if rank else 1))
-        self.components = evecs[:, :m].T
-        return self.scores(benign)
+def fit_pca(train, test, network, bins):
+    """Squared reconstruction error from the top principal components of
+    the training rows explaining at least PCA_VARIANCE_TARGET of their
+    variance."""
+    train = np.asarray(train, dtype=np.float64)
+    mean = train.mean(axis=0)
+    centered = train - mean
+    cov = centered.T @ centered / max(len(train) - 1, 1)
+    evals, evecs = np.linalg.eigh(cov)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    evals = np.clip(evals, 0.0, None)
+    total = evals.sum()
+    rank = int((evals > 1e-12 * max(total, 1.0)).sum())
+    if total <= 0:
+        m = 1
+    else:
+        m = int(np.searchsorted(np.cumsum(evals) / total, PCA_VARIANCE_TARGET) + 1)
+    components = evecs[:, : max(1, min(m, rank or 1))]  # (d, m), orthonormal columns
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        centered = np.asarray(x, dtype=np.float64) - self.mean
-        proj = centered @ self.components.T
-        residual = centered - proj @ self.components
+    def errors(centered):
+        residual = centered - centered @ components @ components.T
         return (residual**2).sum(axis=1)
 
+    return errors(centered), errors(np.asarray(test, dtype=np.float64) - mean)
 
-# Each detector built from the fold's trained network (None when no
-# requested detector uses one) and the histogram bin count.
-DETECTOR_FACTORIES: dict[str, Callable[[SvddModel | None, int], object]] = {
-    "doc": lambda network, bins: HbosDetector(bins),
-    "svdd": lambda network, bins: SvddDetector(network.center),
-    "hbos": lambda network, bins: HbosDetector(bins),
-    "pca": lambda network, bins: PcaDetector(),
+
+# Each detector maps (train rows, test rows, the fold's trained network or
+# None, histogram bin count) to (train scores, test scores).
+DETECTORS: dict[str, Callable] = {
+    "doc": fit_hbos, "svdd": fit_svdd, "hbos": fit_hbos, "pca": fit_pca,
 }
 # The detectors that see the fold's embeddings under the network, which
 # is trained once per fold; the others see the scaled rows.
 NETWORK_DETECTORS = frozenset({"doc", "svdd"})
 
 
-@dataclass
-class FoldResult:
-    fold: int
-    cm: ConfusionMatrix
-    metrics: dict
-    auc: float
-
-
-@dataclass
-class EvalReport:
-    detector: str
-    protocol: str
-    k: int
-    contamination: float
-    seed: int
-    config: dict
-    folds: list[FoldResult]
-    wall_seconds: float = 0.0
-    summary: dict = field(default_factory=dict)
-
-    def finalize(self) -> None:
-        self.summary = {}
-        for name in METRIC_COLUMNS:
-            values = [
-                f.auc * 100.0 if name == "auc" else f.metrics[name] for f in self.folds
-            ]
-            self.summary[name] = {
-                "mean": float(np.mean(values)),
-                "stddev": float(np.std(values)),
-            }
-
-    def to_json(self) -> str:
-        doc = {
-            "detector": self.detector,
-            "protocol": self.protocol,
-            "k": self.k,
-            "contamination": self.contamination,
-            "seed": self.seed,
-            "config": self.config,
-            "wall_seconds": self.wall_seconds,
-            "summary": self.summary,
-            "folds": [
-                {
-                    "fold": f.fold,
-                    "tp": f.cm.tp,
-                    "fp": f.cm.fp,
-                    "tn": f.cm.tn,
-                    "fn": f.cm.fn,
-                    "auc": f.auc,
-                    **{k: v for k, v in f.metrics.items()},
-                }
-                for f in self.folds
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+def _summary(folds: list[dict]) -> dict:
+    """Mean and standard deviation over the folds of each table metric,
+    with AUC as a percentage."""
+    summary = {}
+    for name in METRIC_COLUMNS:
+        values = [f["auc"] * 100.0 if name == "auc" else f[name] for f in folds]
+        summary[name] = {"mean": float(np.mean(values)), "stddev": float(np.std(values))}
+    return summary
 
 
 def _evaluate_fold(
@@ -262,16 +189,17 @@ def _evaluate_fold(
     detectors: list[str],
     bins: int,
     contamination: float,
-) -> list[tuple[FoldResult, float]]:
+) -> list[tuple[dict, float]]:
     """Scale the rows with the fold's scaler; if the fold has a network,
     embed the train and test rows once; then fit, threshold and score
     each detector on its rows.
 
     ``seconds`` is the time the fold took before this call: fitting its
     scaler, and its share of the training. Returns one (result, seconds)
-    pair per detector, in order. A detector's seconds count the scaling,
-    the training share and the embedding if it uses the network, and its
-    own fit and scoring. The fold's arrays live only in this call."""
+    pair per detector, in order; a result is the fold's entry in the
+    report document. A detector's seconds count the scaling, the training
+    share and the embedding if it uses the network, and its own fit and
+    scoring. The fold's arrays live only in this call."""
     scale_s, train_s = seconds
     start = time.perf_counter()
     scaled = (apply_scaler(scaler, train_x), apply_scaler(scaler, test_x))
@@ -285,11 +213,13 @@ def _evaluate_fold(
         own_start = time.perf_counter()
         uses_network = name in NETWORK_DETECTORS
         train_in, test_in = embedded if uses_network else scaled
-        detector = DETECTOR_FACTORIES[name](network, bins)
-        threshold = pipeline.threshold_from_scores(detector.fit(train_in), contamination)
-        test_scores = detector.scores(test_in)
+        train_scores, test_scores = DETECTORS[name](train_in, test_in, network, bins)
+        threshold = pipeline.threshold_from_scores(train_scores, contamination)
         cm = confusion(test_y, (test_scores > threshold).astype(np.int64))
-        result = FoldResult(fold=fold, cm=cm, metrics=metrics(cm), auc=roc_auc(test_y, test_scores))
+        result = {
+            "fold": fold, "tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn,
+            "auc": roc_auc(test_y, test_scores), **metrics(cm),
+        }
         shared = scale_s + scaled_at - start
         if uses_network:
             shared += train_s + embedded_at - scaled_at
@@ -329,9 +259,11 @@ def evaluate(
     contamination: float = 0.1,
     seed: int = 0,
     config_echo: dict | None = None,
-) -> list[EvalReport]:
+) -> list[dict]:
     """Evaluate the named detectors under one protocol; one report per
-    name, in the order given.
+    name, in the order given. A report is the JSON-ready document that
+    ``evaluate --out-json`` writes: the run's settings, a ``summary`` of
+    each table metric's mean and stddev, and one entry per fold.
 
     ``kfold``: benign rows are partitioned into k seeded folds; each fold
     trains on the other k-1 benign folds and tests on its own benign fold
@@ -391,33 +323,30 @@ def evaluate(
     ]
     reports = []
     for j, name in enumerate(detectors):
-        report = EvalReport(
-            detector=name,
-            protocol=protocol,
-            k=k,
-            contamination=contamination,
-            seed=seed,
-            config=config_echo or {},
-            folds=[fold[j][0] for fold in per_fold],
-            wall_seconds=sum(fold[j][1] for fold in per_fold),
-        )
-        report.finalize()
-        reports.append(report)
+        folds = [fold[j][0] for fold in per_fold]
+        reports.append({
+            "detector": name, "protocol": protocol, "k": k, "contamination": contamination,
+            "seed": seed, "config": config_echo or {},
+            "wall_seconds": sum(fold[j][1] for fold in per_fold),
+            "summary": _summary(folds), "folds": folds,
+        })
     return reports
 
 
-def render_table(reports: list[EvalReport]) -> str:
-    """Fixed-width comparison table (Accuracy, F1 Score, AUC, DR, FAR)."""
+def render_table(reports: list[dict]) -> str:
+    """Fixed-width comparison table (Accuracy, F1 Score, AUC, DR, FAR) of
+    report documents; a report of more than one fold shows mean±stddev."""
     headers = ["Detector", "Accuracy", "F1 Score", "AUC", "DR", "FAR"]
     lines = [
         "{:<10} {:>14} {:>14} {:>14} {:>14} {:>14}".format(*headers),
         "-" * 84,
     ]
     for r in reports:
-        cells = [r.detector]
+        cells = [r["detector"]]
         for name in METRIC_COLUMNS:
-            s = r.summary[name]
-            if len(r.folds) > 1:
+            s = r["summary"][name]
+            # a saved report without its folds renders as one fold
+            if len(r.get("folds", ())) > 1:
                 cells.append(f"{s['mean']:.2f}±{s['stddev']:.2f}")
             else:
                 cells.append(f"{s['mean']:.2f}")

@@ -15,6 +15,7 @@ from docnids import cli, data, pipeline
 from docnids.errors import DataError
 from docnids.hbos import HistogramSet
 from docnids.nn import MlpParams
+from docnids.svdd import SvddConfig
 
 
 def run(argv):
@@ -105,6 +106,39 @@ class TestTrain:
         benign_rows = [r.split(",") for r in out[1:] if r.split(",")[li] == "0"]
         frac = np.mean([r[vi] == "anomaly" for r in benign_rows])
         assert 0.05 <= frac <= 0.15  # contamination default 0.1
+
+    def test_train_fraction_fits_the_rows_split_benign_indices_picks(
+        self, dataset_csv, tmp_path, capsys
+    ):
+        model_path = tmp_path / "m.doc"
+        argv = [
+            "train", "--input", str(dataset_csv), "--out", str(model_path), "--epochs", "3",
+            "--layer-dims", "6,10,4", "--seed", "4", "--train-fraction", "0.6",
+        ]
+        assert run(argv) == 0
+        ds = data.load_csv(dataset_csv)
+        train_idx, _ = data.split_benign_indices(ds.labels, data.SplitSpec(0.6, 4))
+        assert f"trained on {len(train_idx)} benign rows" in capsys.readouterr().out
+        rows = ds.rows[train_idx]
+        scaler = data.fit_scaler(rows)
+        config = SvddConfig(layer_dims=[6, 10, 4], epochs=3, seed=4)
+        expected = tmp_path / "expected.doc"
+        pipeline.save(
+            pipeline.fit(config, data.apply_scaler(scaler, rows), scaler, ds.columns), expected
+        )
+        assert model_path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5"])
+    def test_train_fraction_out_of_range_exits_2(self, dataset_csv, tmp_path, capsys, fraction):
+        model_path = tmp_path / "m.doc"
+        argv = [
+            "train", "--input", str(dataset_csv), "--out", str(model_path),
+            "--train-fraction", fraction,
+        ]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not model_path.exists()
 
 
 def _drop_last_hist_dim(m):
@@ -227,6 +261,21 @@ class TestScore:
         )
         assert (child.returncode, child.stderr) == (0, "")
         assert len(child.stdout.splitlines()) == 3
+
+    def test_a_row_in_every_tallest_bin_prints_positive_zero(self, dataset_csv, tmp_path, capsys):
+        # With one bin per dimension every row lands in the tallest bin,
+        # so its score is a sum of log(1 / 1.0) terms.
+        model_path = tmp_path / "one_bin.doc"
+        argv = [
+            "train", "--input", str(dataset_csv), "--out", str(model_path), "--epochs", "1",
+            "--layer-dims", "6,10,4", "--bins", "1",
+        ]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(["score", "--model", str(model_path), "--input", str(dataset_csv)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 460
+        assert all(row.endswith(",0.0,benign") for row in rows)
 
     def test_empty_input_header_only(self, model_file, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -382,6 +431,19 @@ class TestReport:
         assert run(["report", "--json", str(out_json)]) == 0
         out = capsys.readouterr().out
         assert "hbos" in out and "Accuracy" in out
+
+    @pytest.mark.parametrize("protocol", ["kfold", "holdout"])
+    def test_rerenders_the_evaluate_table(self, dataset_csv, tmp_path, capsys, protocol):
+        out_json, out_table = tmp_path / "r.json", tmp_path / "r.txt"
+        argv = [
+            "evaluate", "--input", str(dataset_csv), "--detectors", "doc,svdd,hbos,pca",
+            "--protocol", protocol, "--k", "3", "--epochs", "2", "--layer-dims", "6,10,4",
+            "--out-json", str(out_json), "--out-table", str(out_table),
+        ]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(["report", "--json", str(out_json)]) == 0
+        assert capsys.readouterr().out == out_table.read_text(encoding="utf-8")
 
     def test_bad_json_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -81,6 +81,11 @@ class TestHbosScore:
         h = hbos.fit_histograms(np.array([[0.0], [0.1]]), k=1)
         assert hbos.hbos_score_batch(h, np.array([[0.05]]))[0] == pytest.approx(0.0)
 
+    def test_a_row_in_every_tallest_bin_scores_positive_zero(self):
+        h = hbos.fit_histograms(np.array([[0.0, 5.0], [0.0, 5.0], [1.0, 6.0]]), k=2)
+        (score,) = hbos.hbos_score_batch(h, np.array([[0.2, 5.1]]))
+        assert score == 0.0 and not np.signbit(score)
+
     def test_two_dims_hand_value(self):
         h = hbos.HistogramSet(
             lo=np.zeros(2), hi=np.ones(2), k=1, heights=np.array([[1.0], [0.5]])
