@@ -12,36 +12,18 @@ from .data import (
     apply_scaler,
     fit_scaler,
     load_csv,
-    split_benign,
     synth_generate,
 )
 from .hbos import HistogramSet, fit_histograms, hbos_score_batch
-from .nn import (
-    Activation,
-    Gradients,
-    MlpParams,
-    backprop_batch,
-    forward_batch,
-    init_params,
-    sgd_step,
-)
-from .pipeline import DocModel, Verdict, classify, fit, load, save, score_batch
-from .svdd import (
-    SvddConfig,
-    SvddModel,
-    distance_score_batch,
-    embed_batch,
-    init_center,
-    svdd_loss,
-    train,
-)
+from .nn import Activation, MlpParams, forward_batch, init_params
+from .pipeline import DocModel, fit, load, save, score_batch
+from .svdd import SvddConfig, SvddModel, embed_batch, init_center, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Activation",
     "DocModel",
-    "Gradients",
     "HistogramSet",
     "LabeledDataset",
     "MlpParams",
@@ -49,11 +31,7 @@ __all__ = [
     "SplitSpec",
     "SvddConfig",
     "SvddModel",
-    "Verdict",
     "apply_scaler",
-    "backprop_batch",
-    "classify",
-    "distance_score_batch",
     "embed_batch",
     "fit",
     "fit_histograms",
@@ -66,9 +44,6 @@ __all__ = [
     "load_csv",
     "save",
     "score_batch",
-    "sgd_step",
-    "split_benign",
-    "svdd_loss",
     "synth_generate",
     "train",
 ]

@@ -314,7 +314,8 @@ def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = Non
 
 
 def split_benign_indices(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The row indices of ``split_benign``'s two sides."""
+    """Seeded split of the benign row indices: the training side, and the
+    test side, which also holds every attack row."""
     benign_idx = np.flatnonzero(labels == 0)
     if benign_idx.size == 0:
         raise DataError("dataset contains no benign rows")
@@ -322,18 +323,6 @@ def split_benign_indices(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarra
     order = rng.permutation(benign_idx)
     n_train = int(round(spec.benign_train_fraction * benign_idx.size))
     return order[:n_train], np.concatenate([order[n_train:], np.flatnonzero(labels == 1)])
-
-
-def split_benign(ds: LabeledDataset, spec: SplitSpec) -> tuple[np.ndarray, LabeledDataset]:
-    """Seeded split of benign rows; all attack rows go to the test side."""
-    train_idx, test_idx = split_benign_indices(ds.labels, spec)
-    test = LabeledDataset(
-        columns=list(ds.columns),
-        rows=ds.rows[test_idx],
-        labels=ds.labels[test_idx],
-        categories=[ds.categories[i] for i in test_idx] if ds.categories else None,
-    )
-    return ds.rows[train_idx], test
 
 
 def synth_generate(

@@ -279,6 +279,9 @@ def evaluate(
     stacks hold k copies of the training rows and are dropped before the
     detectors run fold by fold. A report's ``wall_seconds`` gives each
     fold an even share of its stack's training time."""
+    # checked before any fold, whichever detectors run
+    pipeline.check_contamination(contamination)
+    hbos.check_bins(bins)
     if ds.n_attack == 0:
         raise DataError("dataset contains no attack rows")
     config = config or SvddConfig()

@@ -35,6 +35,11 @@ class HistogramSet:
         return (self.hi - self.lo) / self.k
 
 
+def check_bins(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"bin count must be >= 1, got {k}")
+
+
 def fit_histograms(z: np.ndarray, k: int) -> HistogramSet:
     """Fit per-dimension histograms over each column's [min, max] range.
 
@@ -44,8 +49,7 @@ def fit_histograms(z: np.ndarray, k: int) -> HistogramSet:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("need a non-empty 2-D matrix")
-    if k < 1:
-        raise ValueError(f"bin count must be >= 1, got {k}")
+    check_bins(k)
     n, d = z.shape
     lo = z.min(axis=0)
     hi = z.max(axis=0)

@@ -1,4 +1,6 @@
-"""Minimal dense feed-forward network with exact gradients and SGD.
+"""Minimal dense feed-forward network: its weights, their seeded
+initialisation and the forward map. ``svdd.train`` runs the backward
+pass and the SGD step on the ``backend`` kernels.
 
 Bias-free by design: with a fixed-center contraction objective a biased
 network can collapse every input onto the center, so only weight
@@ -9,7 +11,7 @@ last; the last layer is always linear.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,24 +41,6 @@ class MlpParams:
     activation: Activation
     layer_dims: list[int]
 
-    @property
-    def n_weights(self) -> int:
-        return sum(w.size for w in self.layers)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            layers=[w.copy() for w in self.layers],
-            activation=self.activation,
-            layer_dims=list(self.layer_dims),
-        )
-
-
-@dataclass
-class Gradients:
-    """Per-layer loss gradients, shape-congruent with MlpParams.layers."""
-
-    layers: list[np.ndarray] = field(default_factory=list)
-
 
 def init_params(
     layer_dims: list[int],
@@ -79,52 +63,12 @@ def init_params(
     return MlpParams(layers=layers, activation=activation, layer_dims=list(layer_dims))
 
 
-def _check_input(x: np.ndarray, name: str, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != dim:
-        raise ValueError(f"{name} has length {x.shape[-1]}, expected {dim}")
-    return x
-
-
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Map a (n, d) batch, or a (k, n, d) stack of batches, through the
     network, preserving row order."""
-    x = _check_input(x, "input batch", params.layer_dims[0])
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != params.layer_dims[0]:
+        raise ValueError(f"input batch has length {x.shape[-1]}, expected {params.layer_dims[0]}")
     buf = backend.PassBuffers(params.layer_dims, x.shape[:-1], backward=False)
     return backend.forward_pass(params.layers, x, params.activation.slope, buf)[-1]
 
-
-def backprop_batch(params: MlpParams, x: np.ndarray, dl_dz: np.ndarray) -> Gradients:
-    """Exact weight gradients via reverse accumulation, summed over the
-    batch (divide by n for the mean).
-
-    ``dl_dz`` is the loss gradient with respect to the network output,
-    one row per input row.
-    """
-    x = _check_input(x, "input batch", params.layer_dims[0])
-    dl_dz = _check_input(dl_dz, "output gradient batch", params.layer_dims[-1])
-    buf = backend.PassBuffers(params.layer_dims, x.shape[:-1])
-    acts = backend.forward_pass(params.layers, x, params.activation.slope, buf)
-    grads = [np.empty_like(w) for w in params.layers]
-    backend.backward_pass(params.layers, acts, dl_dz, grads, buf)
-    return Gradients(layers=grads)
-
-
-def sgd_step(params: MlpParams, grads: Gradients, lr: float) -> MlpParams:
-    """Return updated parameters W - lr * G; the input is not mutated."""
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if len(grads.layers) != len(params.layers):
-        raise ValueError("gradient layer count does not match parameters")
-    new_layers = []
-    for w, g in zip(params.layers, grads.layers):
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match weight shape {w.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient entries")
-        new_layers.append(w - lr * g)
-    return MlpParams(
-        layers=new_layers,
-        activation=params.activation,
-        layer_dims=list(params.layer_dims),
-    )

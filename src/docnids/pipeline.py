@@ -29,12 +29,6 @@ _ACTIVATION_BY_CODE = {i: a for a, i in _ACTIVATION_CODES.items()}
 
 
 @dataclass
-class Verdict:
-    score: float
-    label: str  # "benign" or "anomaly"
-
-
-@dataclass
 class DocModel:
     svdd: SvddModel
     hist: HistogramSet
@@ -42,11 +36,15 @@ class DocModel:
     contamination: float
     scaler: ScalerParams
     schema_hash: bytes
-    columns: list[str] | None = None
 
 
 def schema_hash(columns: list[str]) -> bytes:
     return hashlib.sha256("\x1f".join(columns).encode("utf-8")).digest()
+
+
+def check_contamination(contamination: float) -> None:
+    if not 0.0 < contamination < 1.0:
+        raise ValueError(f"contamination must be in (0, 1), got {contamination}")
 
 
 def threshold_from_scores(scores: np.ndarray, contamination: float) -> float:
@@ -67,8 +65,8 @@ def fit(
     supplied scaler, and must contain benign rows only. The histograms
     and the threshold both come from the rows' embeddings.
     """
-    if not 0.0 < contamination < 1.0:
-        raise ValueError(f"contamination must be in (0, 1), got {contamination}")
+    check_contamination(contamination)
+    hbos.check_bins(bins)
     (model,) = svdd.train(config, np.asarray(benign_scaled)[None])
     z = svdd.embed_batch(model, benign_scaled)
     hist = hbos.fit_histograms(z, bins)
@@ -82,7 +80,6 @@ def fit(
         contamination=contamination,
         scaler=scaler,
         schema_hash=schema_hash(columns),
-        columns=list(columns),
     )
 
 
@@ -106,12 +103,6 @@ def verdict_labels(model: DocModel, scores):
     score exactly equal to it is "benign". Takes one score or an array
     and returns one label or a list of labels."""
     return np.where(np.asarray(scores) > model.threshold, "anomaly", "benign").tolist()
-
-
-def classify(model: DocModel, x: np.ndarray) -> Verdict:
-    """Score one raw feature vector and label it by the decision rule."""
-    s = float(score_batch(model, np.asarray(x)[None])[0])
-    return Verdict(score=s, label=verdict_labels(model, s))
 
 
 def _pack_f64(arr: np.ndarray) -> bytes:

@@ -69,22 +69,12 @@ def init_center(params: MlpParams, train: np.ndarray, eps: float = 0.1) -> np.nd
     return c
 
 
-def svdd_loss(params: MlpParams, batch: np.ndarray, c: np.ndarray, weight_decay: float) -> float:
-    """Mean squared embedding distance to the center plus the
-    weight-decay term (weight_decay/2 times the sum of squared weights)."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.size == 0:
-        raise ValueError("batch is empty")
-    z = nn.forward_batch(params, batch)
-    if len(c) != z.shape[1]:
-        raise ValueError(f"center has length {len(c)}, expected {z.shape[1]}")
-    return float(_loss(z - c, params.layers, weight_decay))
-
-
 def _loss(diff: np.ndarray, layers: list[np.ndarray], weight_decay: float, sq=None):
-    """The objective of ``svdd_loss`` from the residuals ``diff = z - c``,
-    one value per stack member when ``diff`` is (k, n, m) and each layer
-    (k, out, in). ``sq``, if given, receives ``diff**2``.
+    """The training objective from the residuals ``diff = z - c`` of a
+    batch's embeddings: their mean squared distance to the center plus
+    the weight-decay term, weight_decay/2 times the sum of squared
+    weights. One value per stack member when ``diff`` is (k, n, m) and
+    each layer (k, out, in). ``sq``, if given, receives ``diff**2``.
 
     ``.sum() / n`` is the same float as ``.mean()``, with fewer calls.
     """
@@ -132,12 +122,11 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     one batched matmul whose k products are the ones a member trained
     alone would make. The gradient is one (k, P) buffer ``grad`` with
     matching views; the weight decay, the finite-gradient check and the
-    step are one call each over all members and layers: elementwise the
-    same arithmetic as ``nn.sgd_step`` on the gradient plus
-    ``weight_decay * w``. So each member's weights, center and loss
-    history are bit-equal to training it alone. Every batch-sized array
-    is a buffer allocated once per batch size (the last batch of an epoch
-    may be shorter), so a step allocates none.
+    step are one call each over all members and layers: elementwise each
+    layer's ``w - lr * (g + weight_decay * w)``. So each member's weights,
+    center and loss history are bit-equal to training it alone. Every
+    batch-sized array is a buffer allocated once per batch size (the last
+    batch of an epoch may be shorter), so a step allocates none.
 
     Returns one model per member: the weights, the center and the
     per-epoch loss; the weight decay only shapes training and is not kept.
@@ -231,7 +220,3 @@ def distances_sq(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Squared distance of each (n, m) embedding row to the center ``c``."""
     return ((z - c) ** 2).sum(axis=1)
 
-
-def distance_score_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:
-    """Squared embedding distance to the center per row; higher = more anomalous."""
-    return distances_sq(embed_batch(model, np.asarray(x, dtype=np.float64)), model.center)

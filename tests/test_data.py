@@ -444,39 +444,40 @@ class TestScaler:
 
 
 class TestSplitBenign:
-    def _ds(self, n_benign, n_attack):
-        rows = np.arange((n_benign + n_attack) * 2, dtype=float).reshape(-1, 2)
-        labels = np.array([0] * n_benign + [1] * n_attack)
-        return data.LabeledDataset(["a", "b"], rows, labels)
+    """``split_benign_indices``, which ``train --train-fraction`` and
+    ``evaluate --protocol holdout`` split the rows with."""
+
+    def _labels(self, n_benign, n_attack):
+        # attack rows between the benign ones, not only after them
+        return np.random.default_rng(0).permutation([0] * n_benign + [1] * n_attack)
 
     def test_counts(self):
-        train, test = data.split_benign(self._ds(10, 3), data.SplitSpec(0.7, seed=1))
+        labels = self._labels(10, 3)
+        train, test = data.split_benign_indices(labels, data.SplitSpec(0.7, seed=1))
         assert len(train) == 7
-        assert test.n_benign == 3 and test.n_attack == 3
+        assert (labels[test] == 0).sum() == 3 and (labels[test] == 1).sum() == 3
 
     def test_train_has_no_attacks(self):
-        ds = self._ds(10, 3)
-        attack_rows = ds.rows[ds.labels == 1]
-        train, _ = data.split_benign(ds, data.SplitSpec(0.7, seed=1))
-        for row in attack_rows:
-            assert not (train == row).all(axis=1).any()
+        labels = self._labels(10, 3)
+        train, test = data.split_benign_indices(labels, data.SplitSpec(0.7, seed=1))
+        assert (labels[train] == 0).all()
+        assert set(np.flatnonzero(labels == 1)) <= set(test)
 
     def test_partition_of_benign(self):
-        ds = self._ds(11, 2)
-        train, test = data.split_benign(ds, data.SplitSpec(0.6, seed=4))
-        benign = ds.rows[ds.labels == 0]
-        recovered = np.vstack([train, test.rows[test.labels == 0]])
-        assert sorted(map(tuple, recovered)) == sorted(map(tuple, benign))
+        labels = self._labels(11, 2)
+        train, test = data.split_benign_indices(labels, data.SplitSpec(0.6, seed=4))
+        recovered = np.concatenate([train, test[labels[test] == 0]])
+        assert sorted(recovered) == list(np.flatnonzero(labels == 0))
 
     def test_deterministic(self):
-        ds = self._ds(10, 3)
-        t1, _ = data.split_benign(ds, data.SplitSpec(0.7, seed=5))
-        t2, _ = data.split_benign(ds, data.SplitSpec(0.7, seed=5))
-        assert np.array_equal(t1, t2)
+        labels = self._labels(10, 3)
+        t1 = data.split_benign_indices(labels, data.SplitSpec(0.7, seed=5))
+        t2 = data.split_benign_indices(labels, data.SplitSpec(0.7, seed=5))
+        assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
     def test_rejects_no_benign(self):
         with pytest.raises(DataError):
-            data.split_benign(self._ds(0, 3), data.SplitSpec(0.7, seed=0))
+            data.split_benign_indices(self._labels(0, 3), data.SplitSpec(0.7, seed=0))
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):

@@ -274,8 +274,10 @@ class TestNetworkDetectorsMatchTheirScorers:
 
     @pytest.fixture(scope="class")
     def split(self, small_ds):
-        train_x, test = data.split_benign(small_ds, data.SplitSpec(0.7, 3))
+        train_idx, test_idx = data.split_benign_indices(small_ds.labels, data.SplitSpec(0.7, 3))
+        train_x = small_ds.rows[train_idx]
         scaler = data.fit_scaler(train_x)
+        test = data.LabeledDataset(small_ds.columns, small_ds.rows[test_idx], small_ds.labels[test_idx])
         return data.apply_scaler(scaler, train_x), scaler, test
 
     def assert_fold_matches(self, small_ds, name, scores, threshold, test):
@@ -294,8 +296,12 @@ class TestNetworkDetectorsMatchTheirScorers:
     def test_svdd_is_distance_score_batch(self, small_ds, split):
         scaled, scaler, test = split
         (network,) = svdd.train(self.config, scaled[None])
-        threshold = pipeline.threshold_from_scores(svdd.distance_score_batch(network, scaled), 0.1)
-        scores = svdd.distance_score_batch(network, data.apply_scaler(scaler, test.rows))
+
+        def distances(x):
+            return svdd.distances_sq(svdd.embed_batch(network, x), network.center)
+
+        threshold = pipeline.threshold_from_scores(distances(scaled), 0.1)
+        scores = distances(data.apply_scaler(scaler, test.rows))
         self.assert_fold_matches(small_ds, "svdd", scores, threshold, test)
 
 

@@ -26,6 +26,19 @@ def composed_loss(params, x, c):
     return float(((z - c) ** 2).sum())
 
 
+def kernel_gradients(weights, x, delta, slope):
+    """Weight gradients as svdd.train makes them: backend.forward_pass,
+    then backend.backward_pass into a PassBuffers and caller-owned
+    gradient arrays. ``x`` is (n, d) with (out, in) weights, or a (k, n, d)
+    stack with (k, out, in) weights."""
+    dims = [x.shape[-1]] + [w.shape[-2] for w in weights]
+    buf = backend.PassBuffers(dims, x.shape[:-1])
+    acts = backend.forward_pass(weights, x, slope, buf)
+    grads = [np.empty_like(w) for w in weights]
+    backend.backward_pass(weights, acts, delta, grads, buf)
+    return grads
+
+
 class TestInitParams:
     def test_deterministic_for_seed(self):
         a = nn.init_params([4, 2], seed=7)
@@ -48,7 +61,7 @@ class TestInitParams:
 
     def test_no_biases_allocated(self):
         p = nn.init_params([4, 8, 2], seed=1)
-        assert p.n_weights == 4 * 8 + 8 * 2
+        assert sum(w.size for w in p.layers) == 4 * 8 + 8 * 2
 
 
 class TestForward:
@@ -171,31 +184,22 @@ class TestKernelOracle:
 
 class TestBackprop:
     def test_single_linear_layer_gradient_is_input(self):
-        p = nn.MlpParams(
-            layers=[np.array([[2.0, -1.0, 0.5]])],
-            activation=Activation.IDENTITY,
-            layer_dims=[3, 1],
-        )
-        x = np.array([1.0, 2.0, 3.0])
-        g = nn.backprop_batch(p, x[None], np.array([[1.0]]))
-        assert np.allclose(g.layers[0], x.reshape(1, -1))
+        x = np.array([[1.0, 2.0, 3.0]])
+        (g,) = kernel_gradients([np.array([[2.0, -1.0, 0.5]])], x, np.array([[1.0]]), 1.0)
+        assert np.allclose(g, x)
 
     def test_saturated_rectifier_blocks_gradient(self):
         # all-negative pre-activations in the hidden layer
-        p = nn.MlpParams(
-            layers=[-np.ones((3, 2)), np.ones((1, 3))],
-            activation=Activation.RECTIFIER,
-            layer_dims=[2, 3, 1],
-        )
-        g = nn.backprop_batch(p, np.array([[1.0, 1.0]]), np.array([[1.0]]))
-        assert np.allclose(g.layers[0], 0.0)
+        weights = [-np.ones((3, 2)), np.ones((1, 3))]
+        g = kernel_gradients(weights, np.array([[1.0, 1.0]]), np.array([[1.0]]), 0.0)
+        assert np.allclose(g[0], 0.0)
 
     def test_matches_finite_differences(self, rng):
         p = nn.init_params([5, 8, 6, 3], seed=11)
         x = rng.normal(size=5)
         c = rng.normal(size=3)
         z = nn.forward_batch(p, x[None])[0]
-        analytic = nn.backprop_batch(p, x[None], (2.0 * (z - c))[None])
+        analytic = kernel_gradients(p.layers, x[None], (2.0 * (z - c))[None], p.activation.slope)
         h = 1e-5
         for li, w in enumerate(p.layers):
             for i in range(w.shape[0]):
@@ -207,51 +211,37 @@ class TestBackprop:
                     down = composed_loss(p, x, c)
                     w[i, j] = orig
                     fd = (up - down) / (2 * h)
-                    a = analytic.layers[li][i, j]
+                    a = analytic[li][i, j]
                     assert abs(a - fd) / max(abs(fd), 1e-6) < 1e-4
 
-    def test_dimension_mismatch(self):
-        p = nn.init_params([4, 2], seed=0)
-        with pytest.raises(ValueError):
-            nn.backprop_batch(p, np.zeros((1, 4)), np.zeros((1, 3)))
+    def test_stack_matches_finite_differences_per_member(self, rng):
+        # the (k, n, d) call svdd.train makes: each member's gradient is
+        # that of its own summed loss over its own rows and weights
+        k, n = 2, 3
+        members = [nn.init_params([4, 6, 3], seed=s) for s in (21, 22)]
+        weights = [np.stack(ws) for ws in zip(*(m.layers for m in members))]
+        x = rng.normal(size=(k, n, 4))
+        c = rng.normal(size=(k, 3))
+        slope = members[0].activation.slope
+        z = np.stack([nn.forward_batch(m, xm) for m, xm in zip(members, x)])
+        analytic = kernel_gradients(weights, x, 2.0 * (z - c[:, None]), slope)
+        h = 1e-5
+        for m in range(k):
+            # views into the stacked weights, so a nudge there moves member m
+            p = nn.MlpParams([w[m] for w in weights], members[m].activation, [4, 6, 3])
 
+            def loss():
+                return float(((nn.forward_batch(p, x[m]) - c[m]) ** 2).sum())
 
-class TestSgdStep:
-    def test_basic_update(self):
-        p = nn.MlpParams(
-            layers=[np.array([[1.0]])], activation=Activation.IDENTITY, layer_dims=[1, 1]
-        )
-        g = nn.Gradients(layers=[np.array([[0.5]])])
-        updated = nn.sgd_step(p, g, 0.1)
-        assert updated.layers[0][0, 0] == pytest.approx(0.95)
-
-    def test_zero_gradient_leaves_params(self):
-        p = nn.init_params([3, 2], seed=0)
-        g = nn.Gradients(layers=[np.zeros((2, 3))])
-        updated = nn.sgd_step(p, g, 0.1)
-        assert np.array_equal(updated.layers[0], p.layers[0])
-
-    def test_two_steps_accumulate(self):
-        p = nn.MlpParams(
-            layers=[np.array([[1.0]])], activation=Activation.IDENTITY, layer_dims=[1, 1]
-        )
-        g = nn.Gradients(layers=[np.array([[0.5]])])
-        updated = nn.sgd_step(nn.sgd_step(p, g, 0.1), g, 0.1)
-        assert updated.layers[0][0, 0] == pytest.approx(1.0 - 2 * 0.1 * 0.5)
-
-    def test_does_not_mutate_input(self):
-        p = nn.init_params([3, 2], seed=0)
-        before = p.layers[0].copy()
-        nn.sgd_step(p, nn.Gradients(layers=[np.ones((2, 3))]), 0.1)
-        assert np.array_equal(p.layers[0], before)
-
-    def test_rejects_shape_mismatch(self):
-        p = nn.init_params([3, 2], seed=0)
-        with pytest.raises(ValueError):
-            nn.sgd_step(p, nn.Gradients(layers=[np.zeros((3, 3))]), 0.1)
-
-    def test_rejects_nonfinite_gradients(self):
-        p = nn.init_params([3, 2], seed=0)
-        g = nn.Gradients(layers=[np.full((2, 3), np.nan)])
-        with pytest.raises(ValueError, match="non-finite"):
-            nn.sgd_step(p, g, 0.1)
+            for li, w in enumerate(weights):
+                for i in range(w.shape[1]):
+                    for j in range(w.shape[2]):
+                        orig = w[m, i, j]
+                        w[m, i, j] = orig + h
+                        up = loss()
+                        w[m, i, j] = orig - h
+                        down = loss()
+                        w[m, i, j] = orig
+                        fd = (up - down) / (2 * h)
+                        a = analytic[li][m, i, j]
+                        assert abs(a - fd) / max(abs(fd), 1e-6) < 1e-4

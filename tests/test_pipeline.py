@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ class TestFit:
         with pytest.raises(ValueError):
             pipeline.fit(SvddConfig(epochs=0), np.zeros((4, 6)), None, ds.columns, contamination=0.0)
 
+    def test_rejects_zero_bins_before_training(self, small_model, monkeypatch):
+        _, ds = small_model
+
+        def no_training(config, stack):
+            raise AssertionError("trained before checking the bin count")
+
+        monkeypatch.setattr(svdd, "train", no_training)
+        with pytest.raises(ValueError, match="bin count must be >= 1, got 0"):
+            pipeline.fit(SvddConfig(epochs=0), np.zeros((4, 6)), None, ds.columns, bins=0)
+
     def test_hist_dimension_matches_embedding(self, small_model):
         model, _ = small_model
         assert model.hist.dim == model.svdd.params.layer_dims[-1]
@@ -66,12 +78,14 @@ class TestScoreAndClassify:
 
     def test_tie_classifies_benign(self, small_model, rng):
         model, _ = small_model
-        v = pipeline.Verdict(score=model.threshold, label="")
-        # classify goes through score_batch; check the decision rule directly
-        assert ("anomaly" if v.score > model.threshold else "benign") == "benign"
-        x = rng.uniform(size=6)
-        verdict = pipeline.classify(model, x)
-        assert verdict.label == ("anomaly" if verdict.score > model.threshold else "benign")
+        assert pipeline.verdict_labels(model, model.threshold) == "benign"
+        assert pipeline.verdict_labels(model, np.nextafter(model.threshold, np.inf)) == "anomaly"
+        # a model whose threshold is exactly one row's score
+        scores = pipeline.score_batch(model, rng.uniform(size=(5, 6)))
+        tied = dataclasses.replace(model, threshold=float(scores[2]))
+        labels = pipeline.verdict_labels(tied, scores)
+        assert labels[2] == "benign"
+        assert labels == ["anomaly" if s > scores[2] else "benign" for s in scores]
 
     def test_anomalies_score_above_benign_mean(self, small_model):
         model, ds = small_model
@@ -82,8 +96,7 @@ class TestScoreAndClassify:
     def test_scoring_does_not_mutate_model(self, small_model, tmp_path, rng):
         model, _ = small_model
         pipeline.save(model, tmp_path / "before")
-        pipeline.score_batch(model, rng.uniform(size=(50, 6)))
-        pipeline.classify(model, rng.uniform(size=6))
+        pipeline.verdict_labels(model, pipeline.score_batch(model, rng.uniform(size=(50, 6))))
         pipeline.save(model, tmp_path / "after")
         assert (tmp_path / "before").read_bytes() == (tmp_path / "after").read_bytes()
 

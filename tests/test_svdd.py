@@ -6,9 +6,16 @@ from docnids.errors import TrainingDivergedError
 from docnids.nn import Activation, MlpParams
 from docnids.svdd import SvddConfig
 
+from test_nn import kernel_gradients
+
 
 def identity_net(d):
     return MlpParams(layers=[np.eye(d)], activation=Activation.IDENTITY, layer_dims=[d, d])
+
+
+def objective(p, batch, c, weight_decay):
+    """The loss svdd.train computes for one batch under the weights ``p``."""
+    return float(svdd._loss(nn.forward_batch(p, batch) - c, p.layers, weight_decay))
 
 
 class TestInitCenter:
@@ -49,15 +56,13 @@ class TestInitCenter:
 
 class TestSvddLoss:
     def test_mean_of_unit_norms(self):
-        loss = svdd.svdd_loss(
-            identity_net(2), np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2), 0.0
-        )
+        loss = objective(identity_net(2), np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2), 0.0)
         assert loss == pytest.approx(1.0)
 
     def test_zero_at_center(self):
         p = identity_net(2)
         batch = np.array([[0.3, 0.7]])
-        assert svdd.svdd_loss(p, batch, np.array([0.3, 0.7]), 0.0) == pytest.approx(0.0)
+        assert objective(p, batch, np.array([0.3, 0.7]), 0.0) == pytest.approx(0.0)
 
     def test_frobenius_term_hand_value(self):
         p = MlpParams(
@@ -67,25 +72,24 @@ class TestSvddLoss:
         )
         batch = np.array([[0.0, 0.0]])
         # distance term 0, (2/2)*(1+4+9+16) = 30
-        assert svdd.svdd_loss(p, batch, np.zeros(2), 2.0) == pytest.approx(30.0, abs=1e-10)
+        assert objective(p, batch, np.zeros(2), 2.0) == pytest.approx(30.0, abs=1e-10)
 
     def test_monotone_in_weight_decay(self, rng):
         p = nn.init_params([3, 4, 2], seed=2)
         batch = rng.uniform(size=(5, 3))
         c = rng.normal(size=2)
-        losses = [svdd.svdd_loss(p, batch, c, lam) for lam in (0.0, 0.1, 1.0)]
+        losses = [objective(p, batch, c, lam) for lam in (0.0, 0.1, 1.0)]
         assert losses == sorted(losses)
 
     def test_linear_net_gradient_closed_form(self, rng):
         # single linear layer: grad of the distance term is 2 (Wx - c) x^T / n
         w = rng.normal(size=(2, 3))
-        p = MlpParams(layers=[w.copy()], activation=Activation.IDENTITY, layer_dims=[3, 2])
         x = rng.normal(size=(4, 3))
         c = rng.normal(size=2)
         z = x @ w.T
         expected = 2.0 * (z - c).T @ x / len(x)
-        g = nn.backprop_batch(p, x, 2.0 * (z - c) / len(x))
-        assert np.allclose(g.layers[0], expected, atol=1e-10, rtol=0)
+        (g,) = kernel_gradients([w], x, 2.0 * (z - c) / len(x), 1.0)
+        assert np.allclose(g, expected, atol=1e-10, rtol=0)
 
 
 class TestTrain:
@@ -186,9 +190,9 @@ class TestTrain:
 
 
 def reference_train(config, x):
-    """svdd.train's epochs on one training set, with each step taken by
-    ``nn.sgd_step`` on a new ``nn.Gradients`` holding the weight-decay
-    gradient, and the loss summed in its own code."""
+    """svdd.train's epochs on one training set, with each layer stepped
+    on its own to a new array, ``w - lr * (g + weight_decay * w)``, and the
+    loss summed in its own code."""
     params = nn.init_params(config.resolve_dims(x.shape[1]), config.seed, config.activation)
     c = svdd.init_center(params, x, config.center_eps)
     rng = np.random.default_rng(config.seed + 1)
@@ -204,11 +208,12 @@ def reference_train(config, x):
             dist = ((z - c) ** 2).sum(axis=1).sum() / len(batch)
             reg = 0.5 * config.weight_decay * sum(float((w**2).sum()) for w in params.layers)
             loss = float(dist + reg)
-            grads = nn.backprop_batch(params, batch, 2.0 * (z - c) / len(batch))
-            decayed = nn.Gradients(
-                layers=[g + config.weight_decay * w for g, w in zip(grads.layers, params.layers)]
-            )
-            params = nn.sgd_step(params, decayed, config.lr)
+            delta = 2.0 * (z - c) / len(batch)
+            grads = kernel_gradients(params.layers, batch, delta, params.activation.slope)
+            params.layers = [
+                w - config.lr * (g + config.weight_decay * w)
+                for w, g in zip(params.layers, grads)
+            ]
             epoch_loss += loss * len(batch)
         history.append((epoch, epoch_loss / len(x)))
     return params, history
@@ -323,18 +328,18 @@ class TestEmbedAndScore:
     def test_score_zero_at_center(self):
         p = identity_net(2)
         m = svdd.SvddModel(params=p, center=np.array([0.4, 0.6]))
-        assert svdd.distance_score_batch(m, np.array([[0.4, 0.6]]))[0] == pytest.approx(0.0)
+        z = svdd.embed_batch(m, np.array([[0.4, 0.6]]))
+        assert svdd.distances_sq(z, m.center)[0] == pytest.approx(0.0)
 
     def test_score_monotone_in_distance(self):
         p = identity_net(1)
         m = svdd.SvddModel(params=p, center=np.zeros(1))
-        assert (
-            svdd.distance_score_batch(m, np.array([[0.2]]))[0]
-            < svdd.distance_score_batch(m, np.array([[0.5]]))[0]
-        )
+        near, far = svdd.distances_sq(svdd.embed_batch(m, np.array([[0.2], [0.5]])), m.center)
+        assert near < far
 
     def test_batch_score_independent_of_other_rows(self, trained_svdd, rng):
         xs = rng.uniform(size=(6, 16))
-        full = svdd.distance_score_batch(trained_svdd, xs)
-        shuffled = svdd.distance_score_batch(trained_svdd, xs[::-1])
+        c = trained_svdd.center
+        full = svdd.distances_sq(svdd.embed_batch(trained_svdd, xs), c)
+        shuffled = svdd.distances_sq(svdd.embed_batch(trained_svdd, xs[::-1]), c)
         assert np.allclose(full, shuffled[::-1])
