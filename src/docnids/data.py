@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
+import math
 import operator
+import os
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,8 +269,56 @@ def _csv_line(cells) -> str:
     return out.getvalue()
 
 
+def _rows_text(rows: np.ndarray, tails: list[tuple], tail_text: dict) -> bytes:
+    """The CSV lines of ``rows`` and their label (and category) ``tails``."""
+    return "".join(
+        [",".join([*map(repr, row), tail_text[tail]]) for row, tail in zip(rows.tolist(), tails)]
+    ).encode("utf-8")
+
+
+def _fork_writer(text: Callable[[], bytes], inherited: list[int]) -> tuple[int, int] | None:
+    """Fork a worker that writes the bytes ``text()`` returns to a pipe
+    and leaves through ``os._exit``, so it never flushes or cleans up
+    what it shares with this process; it first closes the pipe ends in
+    ``inherited``. Return its pid and the pipe's read end, or None where
+    no worker can be started."""
+    if not hasattr(os, "fork"):
+        return None
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (r, *inherited):
+                os.close(fd)
+            view = memoryview(text())
+            while view:
+                view = view[os.write(w, view):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
 def save_csv(ds: LabeledDataset, path, label_column: str = "Label") -> None:
-    """Write a dataset back out; floats use shortest round-trip formatting."""
+    """Write a dataset back out; floats use shortest round-trip formatting.
+
+    Formatting the floats is nearly all the cost, so the rows are cut
+    into one contiguous range per usable core. This process formats the
+    first range, and any range whose worker cannot be forked; a forked
+    worker formats each other range into a pipe, which is copied into
+    the file in order. The bytes do not depend on the number of ranges.
+    A worker that fails raises OSError.
+    """
     header = list(ds.columns) + [label_column]
     labels = [str(int(v)) for v in ds.labels.tolist()]
     if ds.categories is None:
@@ -277,12 +328,46 @@ def save_csv(ds: LabeledDataset, path, label_column: str = "Label") -> None:
         tails = list(zip(labels, ds.categories))
     # Only a category may need quoting, and the distinct tails are few.
     tail_text = {tail: _csv_line(tail) for tail in set(tails)}
-    rows = np.asarray(ds.rows, dtype=np.float64).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f, lineterminator="\n").writerow(header)
-        f.writelines(
-            ",".join([*map(repr, row), tail_text[tail]]) for row, tail in zip(rows, tails)
-        )
+    rows = np.asarray(ds.rows, dtype=np.float64)
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    cores = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+    parts = max(1, min(cores, len(rows)))
+    cuts = [len(rows) * i // parts for i in range(parts + 1)]
+    ranges = list(itertools.pairwise(cuts))
+
+    def text(a: int, b: int) -> bytes:
+        return _rows_text(rows[a:b], tails[a:b], tail_text)
+
+    workers: dict[tuple[int, int], tuple[int, int]] = {}
+    with open(path, "wb") as f:
+        try:
+            for a, b in ranges[1:]:
+                worker = _fork_writer(
+                    functools.partial(text, a, b), [fd for _, fd in workers.values()]
+                )
+                if worker is not None:
+                    workers[a, b] = worker
+            f.write(_csv_line(header).encode("utf-8"))
+            for a, b in ranges:
+                if (a, b) not in workers:
+                    f.write(text(a, b))
+                    continue
+                pid, fd = workers[a, b]
+                while chunk := os.read(fd, 1 << 16):
+                    f.write(chunk)
+                os.close(fd)
+                del workers[a, b]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code != 0:
+                    raise OSError(f"the worker for rows {a} to {b - 1} exited with code {code}")
+        finally:
+            # After a failure here, a worker may be blocked on a full pipe
+            # that nothing will read. Closing every read end first makes
+            # each such write fail, so that no reap waits forever.
+            for _, fd in workers.values():
+                os.close(fd)
+            for pid, _ in workers.values():
+                os.waitpid(pid, 0)
 
 
 def fit_scaler(train: np.ndarray) -> ScalerParams:
@@ -340,8 +425,8 @@ def synth_generate(
         raise ValueError("row counts must be positive")
     if dims < 1:
         raise ValueError("dims must be positive")
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
+    if not (math.isfinite(shift) and shift >= 0):
+        raise ValueError(f"shift must be finite and >= 0, got {shift}")
     rng = np.random.default_rng(seed)
     mu = np.stack([rng.uniform(0.42, 0.48, dims), rng.uniform(0.52, 0.58, dims)])
     direction = rng.normal(size=dims)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,17 @@ def trained_svdd(fixture_scaled):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def failing_workers(monkeypatch):
+    """Make ``data._rows_text`` raise in any process but this one, so that
+    every worker ``save_csv`` forks fails."""
+    here, rows_text = os.getpid(), data._rows_text
+
+    def text(*args):
+        if os.getpid() != here:
+            raise RuntimeError("worker fails")
+        return rows_text(*args)
+
+    monkeypatch.setattr(data, "_rows_text", text)

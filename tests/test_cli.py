@@ -49,6 +49,34 @@ def model_file(dataset_csv, tmp_path_factory):
     return path
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+# Runs ``body``, which sets ``code``, in a child Python that sees two usable
+# cores, so that save_csv forks a worker even on a one-core machine. It exits
+# with ``code``, or 99 if any child process of its own is left, reaped or not.
+TWO_CORES = """
+import os, sys
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from docnids import cli, data
+{body}
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
+
+def run_with_two_cores(body, argv):
+    # block-buffered stdout, so that a worker that flushed it would repeat it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", TWO_CORES.format(body=body), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestSynth:
     def test_row_count(self, dataset_csv):
         lines = dataset_csv.read_text().splitlines()
@@ -72,6 +100,52 @@ class TestSynth:
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run(["synth", "--benign", "10"]) == 2
+
+    @pytest.mark.parametrize("shift", ["nan", "inf"])
+    def test_non_finite_shift_exits_2(self, tmp_path, capsys, shift):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["synth", "--benign", "20", "--attack", "5", "--shift", shift,
+                        "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--shift" in err
+        assert caught == []
+        assert not out.exists()
+
+    @needs_fork
+    def test_a_failed_worker_exits_2(self, tmp_path, monkeypatch, capsys, failing_workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "x.csv"
+        code = run("synth --benign 50 --attack 5 --dims 3 --out".split() + [str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        worker = "the worker for rows 27 to 54 exited with code 1"
+        assert err == f"error: cannot write {out}: {worker}\n"
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_unwritable_out_exits_2_and_leaves_no_worker(self):
+        # the parent's own write fails while its worker is blocked on a full pipe
+        child = run_with_two_cores(
+            "code = cli.main(sys.argv[1:])",
+            "synth --benign 20000 --attack 100 --out /dev/full".split(),
+        )
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith("error: cannot write /dev/full: ")
+        assert child.stderr.count("\n") == 1
+        assert child.stdout == ""
+
+    @needs_fork
+    def test_workers_flush_none_of_the_parent_buffers(self, tmp_path):
+        child = run_with_two_cores(
+            "sys.stdout.write('x')\n"
+            "data.save_csv(data.synth_generate(400, 40, 4, 0.6, 1), sys.argv[1])\n"
+            "code = 0",
+            [str(tmp_path / "x.csv")],
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, "x", "")
 
 
 class TestTrain:

@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import errno
 import io
+import os
 import warnings
 from unittest import mock
 
@@ -382,6 +384,15 @@ class TestRawLinesMatchCsvReader:
         assert (out.getvalue(), code, err.getvalue()) == (expected_out, expected_code, expected_err)
 
 
+def quoting_table():
+    return data.LabeledDataset(
+        columns=["a", "b"],
+        rows=np.array([[0.1, 1e-300], [2.0, -0.0], [1 / 3, 5e20]]),
+        labels=np.array([1, 0, 1]),
+        categories=['DoS, slow', 'say "hi"', ""],
+    )
+
+
 class TestSaveCsvMatchesPerRowOracle:
     @pytest.mark.parametrize("with_categories", [True, False])
     def test_bytes_equal_oracle(self, tmp_path, with_categories):
@@ -393,18 +404,105 @@ class TestSaveCsvMatchesPerRowOracle:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_categories_that_need_quoting(self, tmp_path):
-        ds = data.LabeledDataset(
-            columns=["a", "b"],
-            rows=np.array([[0.1, 1e-300], [2.0, -0.0], [1 / 3, 5e20]]),
-            labels=np.array([1, 0, 1]),
-            categories=['DoS, slow', 'say "hi"', ""],
-        )
+        ds = quoting_table()
         data.save_csv(ds, tmp_path / "new.csv")
         per_row_save(ds, tmp_path / "oracle.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         back = data.load_csv(tmp_path / "new.csv", drop_columns=[])
         assert np.array_equal(back.rows, ds.rows)
         assert back.categories == ds.categories
+
+
+def usable_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def count_forks(monkeypatch, fail_from=None):
+    """Wrap os.fork: the pids it returns in this process, and an OSError
+    instead of a fork from call ``fail_from`` on."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        if fail_from is not None and len(pids) >= fail_from:
+            raise OSError(errno.EAGAIN, "no fork today")
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
+class TestSaveCsvParts:
+    """save_csv cuts the rows into one range per usable core and forks a
+    worker for each range after the first; the bytes must not change."""
+
+    TABLES = {
+        "synth": lambda: data.synth_generate(200, 40, 5, 0.6, seed=3),
+        "quoting": quoting_table,
+    }
+
+    @pytest.mark.parametrize("table", TABLES)
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_bytes_equal_oracle_at_every_part_count(self, tmp_path, monkeypatch, table, cores):
+        ds = self.TABLES[table]()
+        usable_cores(monkeypatch, cores)
+        pids = count_forks(monkeypatch)
+        data.save_csv(ds, tmp_path / "new.csv")
+        per_row_save(ds, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert len(pids) == cores - 1
+        assert_reaped(pids)
+
+    def test_more_cores_than_rows(self, tmp_path, monkeypatch):
+        ds = quoting_table()
+        usable_cores(monkeypatch, 8)
+        pids = count_forks(monkeypatch)
+        data.save_csv(ds, tmp_path / "new.csv")
+        per_row_save(ds, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert len(pids) == len(ds.rows) - 1
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("fail_from", [0, 1])
+    def test_a_failed_fork_formats_its_range_here(self, tmp_path, monkeypatch, fail_from):
+        ds = data.synth_generate(200, 40, 5, 0.6, seed=3)
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch, fail_from)
+        data.save_csv(ds, tmp_path / "new.csv")
+        per_row_save(ds, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert len(pids) == fail_from
+        assert_reaped(pids)
+
+    def test_a_failed_worker_raises_oserror(self, tmp_path, monkeypatch, failing_workers):
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch)
+        with pytest.raises(OSError, match="exited with code 1"):
+            data.save_csv(data.synth_generate(200, 40, 5, 0.6, seed=3), tmp_path / "new.csv")
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    def test_forking_warns_of_nothing(self, tmp_path, monkeypatch):
+        # Python 3.12 and later warn when a process with more than one thread
+        # forks. Recorded, not made errors, so the check does not depend on
+        # what os.fork does with a warning that a filter makes an error.
+        usable_cores(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            data.save_csv(data.synth_generate(200, 40, 5, 0.6, seed=3), tmp_path / "new.csv")
+        assert [str(w.message) for w in caught] == []
 
 
 class TestScaler:
