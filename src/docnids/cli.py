@@ -25,6 +25,13 @@ EXIT_MODEL = 4
 # The keys every entry of a saved report must hold; "folds" may be absent.
 REPORT_KEYS = ("detector", "protocol", "k", "contamination", "seed", "config", "summary")
 
+# The bytes ``score`` asks of a stdout pipe. Linux's default pipe holds
+# 64 KiB, less than one 256-line chunk's output on a 16-feature table
+# (about 95 KB), so each chunk's write would wait for the reader. 1 MiB
+# holds several chunks and is the most that fs.pipe-max-size lets an
+# unprivileged process ask for by default.
+STDOUT_PIPE_BYTES = 1 << 20
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -51,7 +58,8 @@ def _parse_dims(text: str | None) -> list[int] | None:
 
 
 def _svdd_config(args) -> SvddConfig:
-    return SvddConfig(
+    """The training flags as a validated SvddConfig; a bad value exits 2."""
+    config = SvddConfig(
         layer_dims=_parse_dims(args.layer_dims),
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -60,6 +68,12 @@ def _svdd_config(args) -> SvddConfig:
         seed=args.seed,
         activation=Activation(args.activation),
     )
+    try:
+        config.validate()
+    except ValueError as e:
+        flags = "--epochs/--batch-size/--lr/--weight-decay"
+        raise CliError(f"invalid training flags ({flags}): {e}", EXIT_FLAG)
+    return config
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -96,6 +110,11 @@ def cmd_synth(args) -> int:
         ds = data.synth_generate(args.benign, args.attack, args.dims, args.shift, args.seed)
     except ValueError as e:
         raise CliError(f"invalid synth flags (--benign/--attack/--dims/--shift): {e}", EXIT_FLAG)
+    except MemoryError:
+        raise CliError(
+            f"not enough memory for {args.benign} + {args.attack} rows of {args.dims} features"
+            " (--benign/--attack/--dims)", EXIT_FLAG,
+        )
     try:
         data.save_csv(ds, args.out)
     except OSError as e:
@@ -105,6 +124,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _svdd_config(args)
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
     benign = ds.rows[ds.labels == 0]
     if benign.shape[0] == 0:
@@ -114,7 +134,6 @@ def cmd_train(args) -> int:
         benign = ds.rows[data.split_benign_indices(ds.labels, spec)[0]]
     scaler = data.fit_scaler(benign)
     scaled = data.apply_scaler(scaler, benign)
-    config = _svdd_config(args)
     try:
         model = pipeline.fit(
             config, scaled, scaler, ds.columns, bins=args.bins, contamination=args.contamination
@@ -130,9 +149,25 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _grow_pipe(out) -> None:
+    """Grow ``out`` to ``STDOUT_PIPE_BYTES`` if it is a smaller Linux
+    pipe; leave any other ``out`` as it is."""
+    try:
+        import fcntl
+
+        fd = out.fileno()
+        if fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) < STDOUT_PIPE_BYTES:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, STDOUT_PIPE_BYTES)
+    except (ImportError, AttributeError, OSError, ValueError):
+        # no fcntl (Windows), no pipe sizes (not Linux), no file
+        # descriptor, not a pipe, or a size over the system's limit
+        pass
+
+
 def cmd_score(args) -> int:
     model = pipeline.load(args.model)
     out = sys.stdout
+    _grow_pipe(out)
     writer = csv.writer(out, lineterminator="\n")
     with data.open_csv(args.input) as (header, rest):
         feature_idx = data.feature_indices(
@@ -179,10 +214,10 @@ def _detector_names(text: str) -> list[str]:
 
 def cmd_evaluate(args) -> int:
     names = _detector_names(args.detectors)
+    config = _svdd_config(args)
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
     if ds.n_attack == 0 or ds.n_benign == 0:
         raise DataError("evaluation needs both benign and attack rows")
-    config = _svdd_config(args)
     echo = {
         # checked against the data before any fold, whichever detectors run
         "layer_dims": config.resolve_dims(ds.rows.shape[1]),

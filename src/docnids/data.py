@@ -33,11 +33,14 @@ DEFAULT_DROP_COLUMNS = (
 # The fixture every quantitative test pins to.
 STANDARD_FIXTURE = dict(n_benign=5000, n_attack=500, dims=16, shift=0.6, seed=42)
 
-# Lines per ``read_chunks`` chunk. On 110k rows, ``load_csv`` time is
-# flat from 64 lines up while its peak memory grows with the chunk, and
-# `score` at 512 lines was at most a few tenths of a second faster but
-# held 0.7 MB more at its peak.
-CHUNK_ROWS = 64
+# Lines per ``read_chunks`` chunk. Each chunk pays a fixed cost in
+# ``score`` (the scaler, forward pass and histogram calls). Scoring the
+# 110k-row table to a file on a 2-vCPU host (12 child runs each) took a
+# median 2.01 s wall at 34.10 MB peak RSS with 64 lines, 1.80 s at
+# 34.14 MB with 256, and 1.77 s at 34.93 MB with 512: no clear gain past
+# 256, for 0.8 MB. Into a pipe, the gain holds only if the pipe holds a
+# chunk's output (``cli.STDOUT_PIPE_BYTES``).
+CHUNK_ROWS = 256
 
 
 @dataclass

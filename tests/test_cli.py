@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import sys
 import warnings
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,6 +99,21 @@ class TestSynth:
         )
         assert code == 2
         assert "--benign" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        def synth_generate(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(data, "synth_generate", synth_generate)
+        out = tmp_path / "x.csv"
+        code = run(["synth", "--benign", "100000000000", "--attack", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "error: not enough memory for 100000000000 + 5 rows of 16 features"
+            " (--benign/--attack/--dims)\n"
+        )
+        assert not out.exists()
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run(["synth", "--benign", "10"]) == 2
@@ -214,6 +231,27 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"), ("--weight-decay", "inf")],
+    )
+    def test_non_finite_lr_or_weight_decay_exits_2_before_reading(
+        self, dataset_csv, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        def load_csv(*args):
+            raise AssertionError("the CSV was read")
+
+        monkeypatch.setattr(data, "load_csv", load_csv)
+        model_path = tmp_path / "m.doc"
+        argv = ["--input", str(dataset_csv), flag, value]
+        argv += ["--out", str(model_path)] if command == "train" else ["--detectors", "hbos"]
+        assert run([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and flag[2:].replace("-", "_") + " must be finite" in err
+        assert not model_path.exists()
+
 
 def _drop_last_hist_dim(m):
     h = m.hist
@@ -287,7 +325,10 @@ class TestScore:
 
     # "\x1c1": float rejects it, where np.loadtxt strips the separator
     @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "empty", "short", "\x1c1"])
-    @pytest.mark.parametrize("index", [0, data.CHUNK_ROWS - 1, data.CHUNK_ROWS, 459])
+    # the last and first rows of a chunk, and rows 63 and 64 inside one
+    @pytest.mark.parametrize(
+        "index", sorted({0, 63, 64, data.CHUNK_ROWS - 1, data.CHUNK_ROWS, 459})
+    )
     def test_load_csv_and_score_name_the_same_bad_row(
         self, dataset_csv, model_file, tmp_path, capsys, index, bad
     ):
@@ -304,6 +345,37 @@ class TestScore:
         assert capsys.readouterr().err == f"error: {corrupt}: unparseable row at index {first}\n"
         assert first == index
 
+    @pytest.mark.parametrize("variant", ["lf", "crlf", "quoted_row_3", "bad_row_300"])
+    def test_chunk_size_does_not_change_the_output(
+        self, dataset_csv, model_file, tmp_path, capsys, variant
+    ):
+        lines = dataset_csv.read_text().splitlines(keepends=True)
+        if variant == "crlf":
+            lines = [line[:-1] + "\r\n" for line in lines]
+        elif variant == "quoted_row_3":
+            first, rest = lines[1 + 3].split(",", 1)
+            lines[1 + 3] = f'"{first}",{rest}'
+        elif variant == "bad_row_300":
+            lines[1 + 300] = "abc," + lines[1 + 300].split(",", 1)[1]
+        flows = tmp_path / "flows.csv"
+        flows.write_bytes("".join(lines).encode("utf-8"))
+        results = {}
+        for chunk in [1, 3, 64, 256, 1000]:
+            with mock.patch.object(data, "CHUNK_ROWS", chunk):
+                code = run(["score", "--model", str(model_file), "--input", str(flows)])
+                out, err = capsys.readouterr()
+                try:
+                    ds = data.load_csv(flows)
+                    loaded = (ds.columns, ds.rows.tobytes(), ds.labels.tolist(), ds.categories)
+                except DataError as e:
+                    loaded = str(e)
+            results[chunk] = (out, err, code, loaded)
+        assert all(result == results[1] for result in results.values())
+        assert results[1][2] == (3 if variant == "bad_row_300" else 0)
+        if variant in ("crlf", "quoted_row_3"):
+            assert run(["score", "--model", str(model_file), "--input", str(dataset_csv)]) == 0
+            assert results[1][:3] == (capsys.readouterr().out, "", 0)
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     def test_scores_a_pipe(self, dataset_csv, model_file, capsys):
         # A pipe can be read only once: the header and the rows must come
@@ -318,6 +390,44 @@ class TestScore:
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.decode() == expected
+
+    def test_grows_its_stdout_pipe_and_writes_the_same_bytes(
+        self, dataset_csv, model_file, capsys
+    ):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("needs Linux pipe sizes")
+        assert run(["score", "--model", str(model_file), "--input", str(dataset_csv)]) == 0
+        expected = capsys.readouterr().out
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["score", "--model", str(model_file), "--input", str(dataset_csv)]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "docnids.cli", *argv], stdout=subprocess.PIPE, env=env
+        )
+        with child.stdout:
+            out = child.stdout.read()
+            size = fcntl.fcntl(child.stdout.fileno(), fcntl.F_GETPIPE_SZ)
+        assert child.wait(timeout=120) == 0
+        assert out.decode() == expected
+        assert size == cli.STDOUT_PIPE_BYTES
+
+    def test_grow_pipe_never_shrinks_a_pipe_and_leaves_other_outputs(
+        self, tmp_path, monkeypatch
+    ):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_GETPIPE_SZ"):
+            pytest.skip("needs Linux pipe sizes")
+        grown = cli.STDOUT_PIPE_BYTES
+        r, w = os.pipe()
+        with open(r, "rb"), open(w, "wb") as writer:
+            cli._grow_pipe(writer)
+            assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) == grown
+            monkeypatch.setattr(cli, "STDOUT_PIPE_BYTES", grown // 8)
+            cli._grow_pipe(writer)
+            assert fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) == grown
+        with open(tmp_path / "out.csv", "w") as f:
+            cli._grow_pipe(f)  # a file has no pipe size
+        cli._grow_pipe(io.StringIO())  # nor a descriptor
 
     def test_values_near_the_float64_limit_score_silently(self, dataset_csv, model_file, tmp_path):
         header, row = dataset_csv.read_text().splitlines()[:2]
@@ -511,6 +621,28 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lr", "0"], "lr must be finite and positive, got 0.0"),
+            (["--epochs", "-1"], "epochs must be >= 0, got -1"),
+            (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+            (["--weight-decay", "-1"], "weight_decay must be finite and >= 0, got -1.0"),
+        ],
+        ids=["lr_0", "epochs_-1", "batch_size_0", "weight_decay_-1"],
+    )
+    @pytest.mark.parametrize("detectors", ["hbos", "pca"])
+    def test_training_flags_exit_2_when_no_detector_trains(
+        self, dataset_csv, capsys, flags, message, detectors
+    ):
+        # the training flags are checked for every detector list
+        argv = ["evaluate", "--input", str(dataset_csv), "--detectors", detectors]
+        assert run(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flag_names = "--epochs/--batch-size/--lr/--weight-decay"
+        assert captured.err == f"error: invalid training flags ({flag_names}): {message}\n"
 
     def test_single_class_exits_3(self, tmp_path):
         only_benign = tmp_path / "benign.csv"

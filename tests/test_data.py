@@ -220,7 +220,8 @@ class TestReadChunks:
         lines[63] = "nan,1,0"
         lines[64] = "64,1"  # short of width 3
         lines[129] = ",1,0"
-        chunks = list(data.read_chunks(raw_lines(lines), [0, 1], 3))
+        with mock.patch.object(data, "CHUNK_ROWS", 64):
+            chunks = list(data.read_chunks(raw_lines(lines), [0, 1], 3))
         assert [start for start, *_ in chunks] == [0, 64, 128]
         assert [len(records) for _, _, records, _, _ in chunks] == [64, 64, 2]
         assert [bad for *_, bad in chunks] == [[0, 63], [64], [129]]
@@ -234,7 +235,8 @@ class TestReadChunks:
         lines[150] = '"150",150.5,0'
         lines[199] = "199,199.5"  # no final newline
         rest = raw_lines(lines)
-        chunks = list(data.read_chunks(rest, [0, 1], 3))
+        with mock.patch.object(data, "CHUNK_ROWS", 64):
+            chunks = list(data.read_chunks(rest, [0, 1], 3))
         assert [start for start, *_ in chunks] == [0, 64, 128, 192]
         # the first two chunks come as raw lines, the rest through csv
         assert [records is None for _, _, records, _, _ in chunks] == [True, True, False, False]
@@ -269,6 +271,19 @@ class TestReadChunks:
         with pytest.raises(DataError, match=r"d\.csv: line 73: field larger than field limit"):
             with data.open_csv(p) as (header, rest):
                 list(data.read_chunks(rest, [0], 2))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64, 256])
+    def test_csv_error_line_is_exact_at_every_chunk_size(self, tmp_path, chunk):
+        p = tmp_path / "d.csv"
+        rows = [f"{i},0\n" for i in range(100)]
+        rows[5] = '5,"x\ny"\n'
+        rows[10:20] = [f"{i},0\r\n" for i in range(10, 20)]
+        rows[70] = "70," + "x" * 140_000 + "\n"
+        p.write_bytes(('"a\nb",Label\n' + "".join(rows)).encode("utf-8"))
+        with mock.patch.object(data, "CHUNK_ROWS", chunk):
+            with pytest.raises(DataError, match=r"d\.csv: line 74: field larger than field limit"):
+                with data.open_csv(p) as (header, rest):
+                    list(data.read_chunks(rest, [0], 2))
 
 
 def per_row_score(path, model):
@@ -352,6 +367,68 @@ def ab_model(tmp_path_factory):
     return d / "m.doc"
 
 
+def assert_load_csv_and_score_match_the_oracles(model_path, p):
+    try:
+        expected = per_row_load(p, drop_columns=data.DEFAULT_DROP_COLUMNS)
+    except (DataError, csv.Error) as e:
+        # csv.Error: a NUL byte before Python 3.11
+        with pytest.raises(DataError) as got:
+            data.load_csv(p)
+        assert str(got.value).endswith(str(e).split(": ")[-1])
+    else:
+        ds = data.load_csv(p)
+        assert ds.columns == expected[0]
+        assert np.array_equal(ds.rows, expected[1])
+        assert np.array_equal(ds.labels, expected[2])
+        assert ds.categories == expected[3]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["score", "--model", str(model_path), "--input", str(p)])
+    try:
+        expected_out, expected_code, expected_err = per_row_score(p, pipeline.load(model_path))
+    except csv.Error:
+        assert code == 3 and "line" in err.getvalue()
+        return
+    assert (out.getvalue(), code, err.getvalue()) == (expected_out, expected_code, expected_err)
+
+
+def mixed_table(odd_rows: dict, end: str = "\n") -> str:
+    """Twelve clean rows ending in ``end``, with the lines in ``odd_rows``
+    (row index to the line, its end included) in their place."""
+    r = np.random.default_rng(1)
+    rows = [f"{a!r},{b!r},0,Benign{end}" for a, b in r.random((12, 2)).tolist()]
+    for i, line in odd_rows.items():
+        rows[i] = line
+    return f"a,b,Label,Attack{end}" + "".join(rows)
+
+
+# Tables read in 3-line chunks, with each chunk's path in order: raw lines
+# (True) up to the first chunk that holds an odd line, csv (False) from it.
+MIXED_TABLES = {
+    "quoted_number_in_the_first_chunk": (
+        mixed_table({2: '"0.25",0.5,0,Benign\n', 7: '0.25,"0.5",0,Benign\n'}),
+        [False, False, False, False],
+    ),
+    "quoted_number_in_a_later_chunk": (
+        mixed_table({7: '0.25,"0.5",0,Benign\n'}),
+        [True, True, False, False],
+    ),
+    # csv chunks count records, so the quoted line break adds no chunk
+    "quoted_line_break": (
+        mixed_table({7: '0.25,0.5,1,"two\nlines"\n'}),
+        [True, True, False, False],
+    ),
+    "lf_rows_in_crlf": (
+        mixed_table({2: "0.25,0.5,0,Benign\n", 7: "0.25,0.5,0,Benign\n"}, end="\r\n"),
+        [False, False, False, False],
+    ),
+    "bad_last_row": (
+        mixed_table({11: "abc,0.5,0,Benign\n"}),
+        [True, True, True, False],
+    ),
+}
+
+
 class TestRawLinesMatchCsvReader:
     @settings(max_examples=300, deadline=None)
     @given(text=csv_files(), chunk=st.integers(1, 5))
@@ -360,28 +437,25 @@ class TestRawLinesMatchCsvReader:
         p.write_bytes(text.encode("utf-8"))
         # small chunks put chunk boundaries on each side of the odd rows
         with mock.patch.object(data, "CHUNK_ROWS", chunk):
-            try:
-                expected = per_row_load(p, drop_columns=data.DEFAULT_DROP_COLUMNS)
-            except (DataError, csv.Error) as e:
-                # csv.Error: a NUL byte before Python 3.11
-                with pytest.raises(DataError) as got:
-                    data.load_csv(p)
-                assert str(got.value).endswith(str(e).split(": ")[-1])
-            else:
-                ds = data.load_csv(p)
-                assert ds.columns == expected[0]
-                assert np.array_equal(ds.rows, expected[1])
-                assert np.array_equal(ds.labels, expected[2])
-                assert ds.categories == expected[3]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["score", "--model", str(ab_model), "--input", str(p)])
-        try:
-            expected_out, expected_code, expected_err = per_row_score(p, pipeline.load(ab_model))
-        except csv.Error:
-            assert code == 3 and "line" in err.getvalue()
-            return
-        assert (out.getvalue(), code, err.getvalue()) == (expected_out, expected_code, expected_err)
+            assert_load_csv_and_score_match_the_oracles(ab_model, p)
+
+    @pytest.mark.parametrize("case", sorted(MIXED_TABLES))
+    def test_raw_chunks_then_csv_chunks(self, ab_model, tmp_path, case):
+        text, paths = MIXED_TABLES[case]
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        seen = []
+
+        def read_chunks(*args):
+            for chunk in chunks(*args):
+                seen.append(chunk[2] is None)
+                yield chunk
+
+        chunks = data.read_chunks
+        with mock.patch.object(data, "CHUNK_ROWS", 3), \
+                mock.patch.object(data, "read_chunks", read_chunks):
+            assert_load_csv_and_score_match_the_oracles(ab_model, p)
+        assert seen == paths + paths  # load_csv's, then score's
 
 
 def quoting_table():
