@@ -88,7 +88,9 @@ def hbos_scores(
     d, k = heights.shape
     safe_w = np.where(width > 0.0, width, 1.0)
     idx = np.floor((z - lo) / safe_w).astype(np.int64)
-    idx = np.clip(idx, 0, k - 1)
+    # in place: np.clip on an int array with int bounds builds two iinfo per call
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, k - 1, out=idx)
     idx[:, width == 0.0] = 0
     h = heights[np.arange(d)[None, :], idx]
     # 0.0 - sum, not -sum: a row in every tallest bin scores +0.0

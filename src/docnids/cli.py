@@ -140,7 +140,10 @@ def cmd_train(args) -> int:
         )
     except ValueError as e:
         raise CliError(str(e), EXIT_FLAG)
-    pipeline.save(model, args.out)
+    try:
+        pipeline.save(model, args.out)
+    except OSError as e:
+        raise CliError(f"cannot write {args.out}: {e}", EXIT_FLAG)
     final_loss = model.svdd.train_history[-1][1] if model.svdd.train_history else float("nan")
     print(f"trained on {len(scaled)} benign rows (seed {args.seed})")
     print(f"epochs: {config.epochs}  final loss: {final_loss:.6f}")
@@ -212,6 +215,14 @@ def _detector_names(text: str) -> list[str]:
     return names
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e}", EXIT_FLAG)
+
+
 def cmd_evaluate(args) -> int:
     names = _detector_names(args.detectors)
     config = _svdd_config(args)
@@ -248,12 +259,10 @@ def cmd_evaluate(args) -> int:
         "benchmark and results on external datasets will differ from reported values."
     )
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as f:
-            json.dump({"reports": reports}, f, indent=2, sort_keys=True)
+        _write_text(args.out_json, json.dumps({"reports": reports}, indent=2, sort_keys=True))
         print(f"json report written to {args.out_json}")
     if args.out_table:
-        with open(args.out_table, "w", encoding="utf-8") as f:
-            f.write(table + "\n")
+        _write_text(args.out_table, table + "\n")
         print(f"text table written to {args.out_table}")
     return EXIT_OK
 

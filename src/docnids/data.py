@@ -15,9 +15,11 @@ import itertools
 import math
 import operator
 import os
+import stat
+import struct
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +41,9 @@ STANDARD_FIXTURE = dict(n_benign=5000, n_attack=500, dims=16, shift=0.6, seed=42
 # median 2.01 s wall at 34.10 MB peak RSS with 64 lines, 1.80 s at
 # 34.14 MB with 256, and 1.77 s at 34.93 MB with 512: no clear gain past
 # 256, for 0.8 MB. Into a pipe, the gain holds only if the pipe holds a
-# chunk's output (``cli.STDOUT_PIPE_BYTES``).
+# chunk's output (``cli.STDOUT_PIPE_BYTES``). With P usable cores, chunk c
+# (counted from the first data row) is parsed by process c mod P, round
+# robin, where process 0 is the reader itself (``read_chunks``).
 CHUNK_ROWS = 256
 
 
@@ -147,21 +151,38 @@ class CsvRest:
     """The text of an open CSV file after its header record, for
     ``read_chunks``. ``line_num`` counts the lines of the header and of
     the raw-line chunks read so far, as ``csv.reader`` counts lines; after
-    a ``csv`` error, it is the line that error is on."""
+    a ``csv`` error, it is the line that error is on. ``path`` names the
+    file for the parse workers, which ``read_chunks`` starts only where it
+    is set; ``parsers`` holds one ``(pid, read end)`` per other usable
+    core, or None where its worker could not be forked, and is empty
+    before the workers start and after they stop."""
 
     file: Iterator[str]
     line_num: int = 0
+    path: str | os.PathLike | None = None
+    parsers: list = field(default_factory=list)
 
 
 @contextlib.contextmanager
 def open_csv(path):
     """Open the CSV at ``path`` as ``(header, rest)``: its first record,
     read by ``csv.reader``, and a ``CsvRest`` over the lines after it.
-    Bytes that are not UTF-8 and ``csv`` errors (a cell over
-    ``csv.field_size_limit()``, a NUL byte before Python 3.11) raise
-    DataError here and in reads within the block."""
-    with open(path, newline="", encoding="utf-8") as f:
-        rest = CsvRest(f)
+    A file that cannot be opened, bytes that are not UTF-8 and ``csv``
+    errors (a cell over ``csv.field_size_limit()``, a NUL byte before
+    Python 3.11) raise DataError here and in reads within the block.
+
+    The parse workers ``read_chunks`` forks live inside the block: leaving
+    it by any path (the end of the file, an error, a closed stdout, an
+    interrupt) closes their pipes' read ends, so a worker blocked on a
+    full pipe fails its write, and then reaps every one of them."""
+    try:
+        f = open(path, newline="", encoding="utf-8")
+    except OSError as e:
+        # a missing file, a directory or no permission: one line, no traceback
+        raise DataError(str(e)) from None
+    with f:
+        # a worker's open of a file descriptor would share its offset
+        rest = CsvRest(f, path=None if isinstance(path, int) else path)
         try:
             reader = csv.reader(f)
             try:
@@ -175,6 +196,8 @@ def open_csv(path):
             raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
         except csv.Error as e:
             raise DataError(f"{path}: line {rest.line_num}: {e}") from None
+        finally:
+            _stop_parsers(rest)
 
 
 def read_chunks(rest: CsvRest, feature_idx: list[int], width: int):
@@ -188,18 +211,122 @@ def read_chunks(rest: CsvRest, feature_idx: list[int], width: int):
     chunk, it comes as ``lines``, each one good row ending in ``\n``, and
     ``records`` is None. The first chunk it cannot vouch for, and every
     row after it, is read by ``csv.reader`` into ``records`` with
-    ``lines`` None: that path alone names bad rows and ``csv`` errors."""
+    ``lines`` None: that path alone names bad rows and ``csv`` errors.
+
+    This process reads every line itself. If the first chunk is full and
+    raw, ``rest`` names a regular file and more than one core is usable,
+    it forks one parse worker per other core (``_start_parsers``), and
+    the workers run ``_raw_features`` on their chunks, round robin. A
+    worker's chunk whose frame is missing, short, for other lines or not
+    vouched for is parsed here, the workers are stopped, and the rest is
+    read as with one core; so the chunks never depend on the workers.
+    ``open_csv`` reaps the workers whenever its block is left."""
     start = 0
-    while lines := list(itertools.islice(rest.file, CHUNK_ROWS)):
-        x = _raw_features(lines, feature_idx, width)
+    for c in itertools.count():
+        lines = list(itertools.islice(rest.file, CHUNK_ROWS))
+        if not lines:
+            return
+        owner = c % (len(rest.parsers) + 1)
+        worker = rest.parsers[owner - 1] if owner else None
+        x = None
+        if worker is not None and (x := _read_frame(worker[1], lines, len(feature_idx))) is None:
+            _stop_parsers(rest)
         if x is None:
+            x = _raw_features(lines, feature_idx, width)
+        if x is None:
+            _stop_parsers(rest)
             yield from _csv_chunks(rest, lines, start, feature_idx, width)
             return
         if not lines[-1].endswith("\n"):
             lines[-1] += "\n"
         rest.line_num += len(lines)
+        if c == 0 and len(lines) == CHUNK_ROWS:
+            _start_parsers(rest, feature_idx, width)
         yield start, lines, None, x, []
         start += len(lines)
+
+
+# A parse worker's frame for one chunk: its line count, its character
+# count and whether the worker vouches for it; then, if it does, the
+# chunk's features as float64 bytes.
+_FRAME = struct.Struct("<qq?")
+
+
+def _usable_cores() -> int:
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
+def _start_parsers(rest: CsvRest, feature_idx: list[int], width: int) -> None:
+    """Fork one parse worker for each usable core past the first, for the
+    chunks after the ``rest.line_num`` lines read so far; none unless
+    ``rest`` names a regular file."""
+    parts = _usable_cores()
+    if parts < 2 or rest.path is None:
+        return
+    try:
+        st = os.fstat(rest.file.fileno())
+    except (AttributeError, OSError, ValueError):
+        return
+    if not stat.S_ISREG(st.st_mode):
+        return
+    for part in range(1, parts):
+        work = functools.partial(
+            _parse_part, rest.path, (st.st_dev, st.st_ino), rest.line_num,
+            part, parts, feature_idx, width,
+        )
+        inherited = [f.fileno() for _, f in filter(None, rest.parsers)]
+        worker = _fork_worker(work, inherited)
+        rest.parsers.append(None if worker is None else (worker[0], open(worker[1], "rb")))
+
+
+def _parse_part(path, file_id, skip: int, part: int, parts: int, feature_idx, width, w: int):
+    """A parse worker: open ``path`` afresh, and if it is still the file
+    ``file_id`` names, skip ``skip`` lines and write a frame to ``w`` for
+    each chunk c after them with c mod ``parts`` = ``part``, counting from
+    1. It stops after the first chunk it cannot vouch for."""
+    with open(path, newline="", encoding="utf-8") as f:
+        st = os.fstat(f.fileno())
+        if (st.st_dev, st.st_ino) != file_id:
+            return
+        for _ in itertools.islice(f, skip):
+            pass
+        for c in itertools.count(1):
+            lines = list(itertools.islice(f, CHUNK_ROWS))
+            if not lines:
+                return
+            if c % parts != part:
+                continue
+            x = _raw_features(lines, feature_idx, width)
+            frame = _FRAME.pack(len(lines), sum(map(len, lines)), x is not None)
+            _write_all(w, frame if x is None else frame + x.tobytes())
+            if x is None:
+                return
+
+
+def _read_frame(pipe, lines: list[str], n_features: int):
+    """The features of ``lines`` from a parse worker's next frame on
+    ``pipe``, or None unless the frame is whole, is for as many lines of
+    as many characters, and is vouched for."""
+    head = pipe.read(_FRAME.size)
+    if len(head) < _FRAME.size:
+        return None
+    n, chars, vouched = _FRAME.unpack(head)
+    if not vouched or n != len(lines) or chars != sum(map(len, lines)):
+        return None
+    x = np.empty((n, n_features), dtype=np.float64)
+    return x if pipe.readinto(x) == x.nbytes else None
+
+
+def _stop_parsers(rest: CsvRest) -> None:
+    """Close every parse worker's read end, then reap each worker. A
+    worker blocked on a full pipe then fails its write, so no wait hangs."""
+    workers = list(filter(None, rest.parsers))
+    rest.parsers.clear()
+    for _, pipe in workers:
+        pipe.close()
+    for pid, _ in workers:
+        os.waitpid(pid, 0)
 
 
 # A chunk holding any of these goes to csv.reader, which (with float) may
@@ -279,12 +406,18 @@ def _rows_text(rows: np.ndarray, tails: list[tuple], tail_text: dict) -> bytes:
     ).encode("utf-8")
 
 
-def _fork_writer(text: Callable[[], bytes], inherited: list[int]) -> tuple[int, int] | None:
-    """Fork a worker that writes the bytes ``text()`` returns to a pipe
-    and leaves through ``os._exit``, so it never flushes or cleans up
-    what it shares with this process; it first closes the pipe ends in
-    ``inherited``. Return its pid and the pipe's read end, or None where
-    no worker can be started."""
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _fork_worker(work: Callable[[int], None], inherited: list[int]) -> tuple[int, int] | None:
+    """Fork a worker that calls ``work`` with the write end of a pipe and
+    leaves through ``os._exit``, with code 0 if ``work`` returned and 1 if
+    it raised, so it never flushes or cleans up what it shares with this
+    process; it first closes the pipe ends in ``inherited``. Return its
+    pid and the pipe's read end, or None where no worker can be started."""
     if not hasattr(os, "fork"):
         return None
     try:
@@ -302,9 +435,7 @@ def _fork_writer(text: Callable[[], bytes], inherited: list[int]) -> tuple[int, 
         try:
             for fd in (r, *inherited):
                 os.close(fd)
-            view = memoryview(text())
-            while view:
-                view = view[os.write(w, view):]
+            work(w)
             code = 0
         finally:
             os._exit(code)
@@ -332,21 +463,22 @@ def save_csv(ds: LabeledDataset, path, label_column: str = "Label") -> None:
     # Only a category may need quoting, and the distinct tails are few.
     tail_text = {tail: _csv_line(tail) for tail in set(tails)}
     rows = np.asarray(ds.rows, dtype=np.float64)
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    cores = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-    parts = max(1, min(cores, len(rows)))
+    parts = max(1, min(_usable_cores(), len(rows)))
     cuts = [len(rows) * i // parts for i in range(parts + 1)]
     ranges = list(itertools.pairwise(cuts))
 
     def text(a: int, b: int) -> bytes:
         return _rows_text(rows[a:b], tails[a:b], tail_text)
 
+    def write(a: int, b: int, fd: int) -> None:
+        _write_all(fd, text(a, b))
+
     workers: dict[tuple[int, int], tuple[int, int]] = {}
     with open(path, "wb") as f:
         try:
             for a, b in ranges[1:]:
-                worker = _fork_writer(
-                    functools.partial(text, a, b), [fd for _, fd in workers.values()]
+                worker = _fork_worker(
+                    functools.partial(write, a, b), [fd for _, fd in workers.values()]
                 )
                 if worker is not None:
                     workers[a, b] = worker

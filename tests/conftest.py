@@ -32,13 +32,20 @@ def rng():
 
 @pytest.fixture
 def failing_workers(monkeypatch):
-    """Make ``data._rows_text`` raise in any process but this one, so that
-    every worker ``save_csv`` forks fails."""
-    here, rows_text = os.getpid(), data._rows_text
+    """Make ``data._rows_text`` and ``data._raw_features`` raise in any
+    process but this one, so that every worker ``save_csv`` or
+    ``read_chunks`` forks fails."""
+    here = os.getpid()
 
-    def text(*args):
-        if os.getpid() != here:
-            raise RuntimeError("worker fails")
-        return rows_text(*args)
+    def fail_elsewhere(name):
+        real = getattr(data, name)
 
-    monkeypatch.setattr(data, "_rows_text", text)
+        def wrapped(*args):
+            if os.getpid() != here:
+                raise RuntimeError("worker fails")
+            return real(*args)
+
+        monkeypatch.setattr(data, name, wrapped)
+
+    fail_elsewhere("_rows_text")
+    fail_elsewhere("_raw_features")

@@ -792,6 +792,28 @@ class TestErrorExits:
         assert err == f"error: {flows}: line 7: field larger than field limit (131072)\n"
         assert not (tmp_path / "m.doc").exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "score"])
+    def test_a_directory_as_input_exits_3(self, model_file, tmp_path, capsys, command):
+        folder = tmp_path / "flows.csv"
+        folder.mkdir()
+        code = run(_argv(command, folder, tmp_path, model_file))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and str(folder) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag", [("train", "--out"), ("evaluate", "--out-json"), ("evaluate", "--out-table")]
+    )
+    def test_a_directory_as_output_exits_2(self, dataset_csv, tmp_path, capsys, command, flag):
+        folder = tmp_path / "out"
+        folder.mkdir()
+        code = run([*_argv(command, dataset_csv, tmp_path), flag, str(folder)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {folder}: ") and err.count("\n") == 1
+        assert list(folder.iterdir()) == []
+
 
 class TestClosedStdout:
     """A reader that stops reading, as ``| head -1`` does, ends the

@@ -3,6 +3,7 @@ import csv
 import errno
 import io
 import os
+import threading
 import warnings
 from unittest import mock
 
@@ -13,6 +14,9 @@ from hypothesis import strategies as st
 
 from docnids import cli, data, pipeline
 from docnids.errors import DataError
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
 def write_csv(path, text):
@@ -392,11 +396,11 @@ def assert_load_csv_and_score_match_the_oracles(model_path, p):
     assert (out.getvalue(), code, err.getvalue()) == (expected_out, expected_code, expected_err)
 
 
-def mixed_table(odd_rows: dict, end: str = "\n") -> str:
-    """Twelve clean rows ending in ``end``, with the lines in ``odd_rows``
+def mixed_table(odd_rows: dict, end: str = "\n", n: int = 12) -> str:
+    """``n`` clean rows ending in ``end``, with the lines in ``odd_rows``
     (row index to the line, its end included) in their place."""
     r = np.random.default_rng(1)
-    rows = [f"{a!r},{b!r},0,Benign{end}" for a, b in r.random((12, 2)).tolist()]
+    rows = [f"{a!r},{b!r},0,Benign{end}" for a, b in r.random((n, 2)).tolist()]
     for i, line in odd_rows.items():
         rows[i] = line
     return f"a,b,Label,Attack{end}" + "".join(rows)
@@ -433,11 +437,26 @@ class TestRawLinesMatchCsvReader:
     @settings(max_examples=300, deadline=None)
     @given(text=csv_files(), chunk=st.integers(1, 5))
     def test_load_csv_and_score_match_the_per_row_oracles(self, ab_model, text, chunk):
-        p = ab_model.parent / "d.csv"
+        self.check(ab_model, text, chunk, cores=1)
+
+    @needs_fork
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_files(), chunk=st.integers(1, 5))
+    def test_load_csv_and_score_match_the_per_row_oracles_on_two_cores(
+        self, ab_model, text, chunk
+    ):
+        # the first chunk of a regular file, if full and raw, forks a worker
+        self.check(ab_model, text, chunk, cores=2)
+
+    @staticmethod
+    def check(model_path, text, chunk, cores):
+        p = model_path.parent / "d.csv"
         p.write_bytes(text.encode("utf-8"))
         # small chunks put chunk boundaries on each side of the odd rows
-        with mock.patch.object(data, "CHUNK_ROWS", chunk):
-            assert_load_csv_and_score_match_the_oracles(ab_model, p)
+        with mock.patch.object(data, "CHUNK_ROWS", chunk), mock.patch.object(
+            os, "sched_getaffinity", lambda pid: set(range(cores)), create=True
+        ):
+            assert_load_csv_and_score_match_the_oracles(model_path, p)
 
     @pytest.mark.parametrize("case", sorted(MIXED_TABLES))
     def test_raw_chunks_then_csv_chunks(self, ab_model, tmp_path, case):
@@ -514,9 +533,6 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-
-
 @needs_fork
 class TestSaveCsvParts:
     """save_csv cuts the rows into one range per usable core and forks a
@@ -577,6 +593,243 @@ class TestSaveCsvParts:
             warnings.simplefilter("always")
             data.save_csv(data.synth_generate(200, 40, 5, 0.6, seed=3), tmp_path / "new.csv")
         assert [str(w.message) for w in caught] == []
+
+
+def score_and_load(model_path, p):
+    """``score``'s stdout, exit code and stderr on ``p``, and what
+    ``load_csv`` returns for it or the message of the DataError it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["score", "--model", str(model_path), "--input", str(p)])
+    try:
+        ds = data.load_csv(p)
+        loaded = (ds.columns, ds.rows.tobytes(), ds.labels.tolist(), ds.categories)
+    except DataError as e:
+        loaded = str(e)
+    return out.getvalue(), code, err.getvalue(), loaded
+
+
+class ClosedAfterOneWrite(io.StringIO):
+    """A stdout whose reader leaves after the first write, as ``| head -1``
+    does; ``fileno`` is a file descriptor that ``cli.main`` may point at
+    /dev/null."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        if self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, "reader gone")
+        return super().write(text)
+
+
+@needs_fork
+class TestReadChunksParts:
+    """With P usable cores, read_chunks has chunk c (of 4 lines here)
+    parsed by process c mod P, this one being process 0; what score writes
+    and load_csv returns must not depend on P or on what the workers do."""
+
+    # Row 21 is in chunk 5, which a worker owns at 2 and at 3 cores; so is
+    # the last chunk of the 30-row table.
+    TABLES = {
+        "clean": mixed_table({}, n=40),
+        "crlf": mixed_table({21: "0.25,0.5,0,Benign\r\n"}, n=40),
+        "quoted": mixed_table({21: '0.25,"0.5",0,Benign\n'}, n=40),
+        "bad_row": mixed_table({21: "abc,0.5,0,Benign\n"}, n=40),
+        "short_row": mixed_table({21: "0.25\n"}, n=40),
+        "no_final_newline": mixed_table({}, n=30)[:-1],
+    }
+
+    def table(self, tmp_path, name):
+        p = tmp_path / "d.csv"
+        p.write_bytes(self.TABLES[name].encode("utf-8"))
+        return p
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_output_does_not_depend_on_the_core_count(
+        self, ab_model, tmp_path, monkeypatch, name
+    ):
+        p = self.table(tmp_path, name)
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        results = {}
+        for cores in [1, 2, 3]:
+            usable_cores(monkeypatch, cores)
+            pids = count_forks(monkeypatch)
+            results[cores] = score_and_load(ab_model, p)
+            # score and load_csv each fork a worker for each other core,
+            # and reap them all, after a bad row too
+            assert len(pids) == 2 * (cores - 1)
+            assert_reaped(pids)
+        assert results[2] == results[1] and results[3] == results[1]
+        assert results[1][1] == (3 if name in ("bad_row", "short_row") else 0)
+
+    @pytest.mark.parametrize("cores, here", [(1, 10), (2, 5), (3, 4)])
+    def test_workers_parse_the_chunks_they_own(self, tmp_path, monkeypatch, cores, here):
+        # 10 chunks: this process parses chunks 0, P, 2P, ... itself
+        p = self.table(tmp_path, "clean")
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, cores)
+        pid, raw_features, parsed = os.getpid(), data._raw_features, []
+
+        def count(lines, *args):
+            if os.getpid() == pid:
+                parsed.append(len(lines))
+            return raw_features(lines, *args)
+
+        monkeypatch.setattr(data, "_raw_features", count)
+        data.load_csv(p)
+        assert parsed == [4] * here
+
+    @pytest.mark.parametrize("fail_from", [0, 1])
+    @pytest.mark.parametrize("name", ["clean", "bad_row"])
+    def test_a_failed_fork_parses_here(self, ab_model, tmp_path, monkeypatch, fail_from, name):
+        p = self.table(tmp_path, name)
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 1)
+        expected = score_and_load(ab_model, p)
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch, fail_from)
+        assert score_and_load(ab_model, p) == expected
+        assert len(pids) == fail_from
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("name", ["clean", "bad_row"])
+    def test_a_failed_worker_changes_nothing(
+        self, ab_model, tmp_path, monkeypatch, failing_workers, cores, name
+    ):
+        p = self.table(tmp_path, name)
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 1)
+        expected = score_and_load(ab_model, p)
+        usable_cores(monkeypatch, cores)
+        pids = count_forks(monkeypatch)
+        assert score_and_load(ab_model, p) == expected
+        assert len(pids) == 2 * (cores - 1)
+        assert_reaped(pids)
+
+    def test_a_frame_for_other_lines_is_not_used(self, ab_model, tmp_path, monkeypatch):
+        # the workers read a longer copy of the file: every frame is for
+        # other lines, so this process parses the chunk itself
+        p = self.table(tmp_path, "clean")
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 1)
+        expected = score_and_load(ab_model, p)
+        usable_cores(monkeypatch, 2)
+        parse_part = data._parse_part
+
+        def longer(path, file_id, skip, *args):
+            return parse_part(path, file_id, skip - 1, *args)
+
+        monkeypatch.setattr(data, "_parse_part", longer)
+        pids = count_forks(monkeypatch)
+        assert score_and_load(ab_model, p) == expected
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("keep", ["half_the_head", "half_the_features"])
+    def test_a_frame_cut_short_is_not_used(self, ab_model, tmp_path, monkeypatch, keep):
+        # each worker dies in the middle of its first frame
+        p = self.table(tmp_path, "clean")
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 1)
+        expected = score_and_load(ab_model, p)
+        usable_cores(monkeypatch, 3)
+        here, write_all = os.getpid(), data._write_all
+
+        def cut(fd, frame):
+            if os.getpid() != here:
+                size = data._FRAME.size
+                write_all(fd, frame[: size // 2 if keep == "half_the_head" else size + 16])
+                raise RuntimeError("worker dies")
+            write_all(fd, frame)
+
+        monkeypatch.setattr(data, "_write_all", cut)
+        pids = count_forks(monkeypatch)
+        assert score_and_load(ab_model, p) == expected
+        assert len(pids) == 4
+        assert_reaped(pids)
+
+    def test_a_worker_parses_no_other_file(self, ab_model, tmp_path, monkeypatch):
+        # as if the path named another file by the time the worker opens
+        # it, one with the same line lengths: the worker finds another
+        # inode and writes nothing, so this process parses its chunks
+        p = self.table(tmp_path, "clean")
+        other = tmp_path / "other.csv"
+        other.write_text(self.TABLES["clean"].replace("0.", "1."))
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 1)
+        expected = score_and_load(ab_model, p)
+        usable_cores(monkeypatch, 2)
+        parse_part = data._parse_part
+        monkeypatch.setattr(data, "_parse_part", lambda path, *args: parse_part(other, *args))
+        pids = count_forks(monkeypatch)
+        assert score_and_load(ab_model, p) == expected
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_a_fifo_forks_nothing(self, ab_model, tmp_path, monkeypatch):
+        p = self.table(tmp_path, "clean")
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 2)
+        expected = score_and_load(ab_model, p)[:3]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=lambda: fifo.write_bytes(p.read_bytes()))
+        feeder.start()
+        pids = count_forks(monkeypatch)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["score", "--model", str(ab_model), "--input", str(fifo)])
+        feeder.join(timeout=60)
+        assert not feeder.is_alive()
+        assert (out.getvalue(), code, err.getvalue()) == expected
+        assert pids == []
+
+    def test_a_table_shorter_than_a_chunk_forks_nothing(self, ab_model, tmp_path, monkeypatch):
+        p = tmp_path / "d.csv"
+        p.write_text(mixed_table({}, n=3))
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 2)
+        pids = count_forks(monkeypatch)
+        assert score_and_load(ab_model, p)[1] == 0
+        assert pids == []
+
+    def test_a_closed_stdout_reaps_every_worker(self, ab_model, tmp_path, monkeypatch):
+        p = self.table(tmp_path, "clean")
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch)
+        fd = os.open(os.devnull, os.O_WRONLY)
+        try:
+            # the header is written; the first chunk, after the forks, is not
+            with contextlib.redirect_stdout(ClosedAfterOneWrite(fd)):
+                code = cli.main(["score", "--model", str(ab_model), "--input", str(p)])
+        finally:
+            os.close(fd)
+        assert code == 0
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    def test_forking_warns_of_nothing(self, ab_model, tmp_path, monkeypatch):
+        # as TestSaveCsvParts.test_forking_warns_of_nothing, after a BLAS
+        # call has started the BLAS library's threads, if it has any
+        p = self.table(tmp_path, "clean")
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        usable_cores(monkeypatch, 2)
+        pids = count_forks(monkeypatch)
+        a = np.ones((64, 64))
+        assert (a @ a)[0, 0] == 64.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            data.load_csv(p)
+        assert [str(w.message) for w in caught] == []
+        assert len(pids) == 1
 
 
 class TestScaler:
