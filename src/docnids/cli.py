@@ -1,7 +1,7 @@
 """Command-line front end: synth, train, score, evaluate, report.
 
 Exit codes are a stable contract: 0 success, 2 flag error, 3 data
-error, 4 model file error.
+error, 4 model file error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_FLAG = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
+EXIT_INTERRUPTED = 130
 
 # The keys every entry of a saved report must hold; "folds" may be absent.
 REPORT_KEYS = ("detector", "protocol", "k", "contamination", "seed", "config", "summary")
@@ -168,7 +169,11 @@ def _grow_pipe(out) -> None:
 
 
 def cmd_score(args) -> int:
-    model = pipeline.load(args.model)
+    try:
+        model = pipeline.load(args.model)
+    except OSError as e:
+        # a missing model file, a directory, or one that cannot be read
+        raise DataError(f"cannot read model {args.model}: {e.strerror or e}")
     out = sys.stdout
     _grow_pipe(out)
     writer = csv.writer(out, lineterminator="\n")
@@ -359,6 +364,11 @@ def main(argv: list[str] | None = None) -> int:
         # Flushed here, a closed pipe raises below and not at exit.
         sys.stdout.flush()
         return code
+    except KeyboardInterrupt:
+        # Ctrl-C: one line, not a traceback; 130 is the shell's code for
+        # a command that SIGINT stopped
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # The reader of stdout stopped reading, as `| head` does: a normal
         # end. Point stdout at /dev/null so the flush at exit cannot fail.

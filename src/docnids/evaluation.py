@@ -275,10 +275,12 @@ def evaluate(
     If some detector uses the network, every fold's scaler is fitted
     first; then each fold's scaled training rows are written into a
     (folds, n, d) stack, one per training size (k folds have at most
-    two), and ``svdd.train`` fits every fold of a stack at once. The
-    stacks hold k copies of the training rows and are dropped before the
-    detectors run fold by fold. A report's ``wall_seconds`` gives each
-    fold an even share of its stack's training time."""
+    two), and ``svdd.train`` fits every fold of a stack at once, in
+    ranges of folds spread over the usable cores. The stacks hold k
+    copies of the training rows and are dropped before the detectors run
+    fold by fold. A report's ``wall_seconds`` gives each fold an even
+    share of its stack's training time: the stack's wall time divided by
+    its members, however many cores trained them."""
     # checked before any fold, whichever detectors run
     pipeline.check_contamination(contamination)
     hbos.check_bins(bins)

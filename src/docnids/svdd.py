@@ -7,12 +7,18 @@ eps-adjusted mean of the initial embeddings and is never trained.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend, nn
+from . import backend, data, nn
 from .errors import TrainingDivergedError
 from .nn import Activation, MlpParams
 
@@ -117,26 +123,27 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     passes k = 1, ``evaluation.evaluate`` one fold per member.
 
     Every member starts from the same weights (``config.seed``) and takes
-    its batches in the same row order (``config.seed + 1``), so the
-    members train side by side: the weights are one (k, P) buffer
-    ``theta``, each layer a (k, out, in) view of it, and each product is
-    one batched matmul whose k products are the ones a member trained
-    alone would make. The gradient is one (k, P) buffer ``grad`` with
-    matching views; the weight decay, the finite-gradient check and the
-    step are one call each over all members and layers: elementwise each
-    layer's ``w - lr * (g + weight_decay * w)``. So each member's weights,
-    center and loss history are bit-equal to training it alone. Every
-    batch-sized array is a buffer allocated once per batch size (the last
-    batch of an epoch may be shorter), so a step allocates none.
+    its batches in the same row order (``config.seed + 1``), and members
+    never interact, so each member's weights, center and loss history are
+    bit-equal to training it alone (see ``_sgd``).
+
+    With P usable cores, the members are cut into min(P, k) contiguous
+    ranges. Every member's center is computed here first; then one worker
+    is forked for each range after the first, and each trains its range
+    while this process trains the first one; the workers' results are
+    then read in member order. A range whose worker cannot be forked, or
+    exits with an error, or whose frame is missing or short, is trained
+    here. Nothing forks for k = 1 or one usable core.
 
     Returns one model per member: the weights, the center and the
     per-epoch loss; the weight decay only shapes training and is not kept.
 
     Deterministic for a fixed seed. If a member's loss goes non-finite,
     the error (TrainingDivergedError, naming the epoch and batch) is its
-    own; a diverged member's NaNs stay in its own slice while the others
-    train on, and the error raised is that of the lowest-index member
-    that failed, as training the members one after another would raise.
+    own, and the error raised is that of the lowest-index member that
+    failed, as training the members one after another would raise. Once
+    a range has raised, the workers of later ranges are killed, and every
+    worker is reaped whichever way this call is left.
     """
     config.validate()
     # contiguous, or every batch's take would copy the whole stack
@@ -146,10 +153,108 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     if stack.size == 0:
         raise ValueError("training set is empty")
     k, n, d = stack.shape
-    dims = config.resolve_dims(d)
-    params = nn.init_params(dims, config.seed, config.activation)
+    params = nn.init_params(config.resolve_dims(d), config.seed, config.activation)
+    # Before any fork: a worker's first large BLAS product would start the
+    # BLAS library's threads in it, to spin while both processes train.
     centers = np.stack([init_center(params, x, config.center_eps) for x in stack])
-    theta = np.repeat(np.concatenate([w.ravel() for w in params.layers])[None], k, axis=0)
+    parts = min(data._usable_cores(), k)
+    # Rounded up, so that the first range, trained here, is the largest; on
+    # two cores, that trained the 5-member fold stack faster than the
+    # other way round.
+    cuts = [(k * i + parts - 1) // parts for i in range(parts + 1)]
+    ranges = list(itertools.pairwise(cuts))
+    workers: dict[int, tuple[int, int]] = {}
+    thetas, histories = [], []
+    try:
+        for a, b in ranges[1:]:
+            work = functools.partial(_train_part, config, params, stack[a:b], centers[a:b])
+            worker = data._fork_worker(work, [fd for _, fd in workers.values()])
+            if worker is not None:
+                workers[a] = worker
+        for a, b in ranges:
+            result = None
+            if a in workers:
+                pid, fd = workers[a]
+                frame = _read_to_end(fd)
+                os.close(fd)
+                del workers[a]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code == 0 and len(frame) >= _LENGTH.size:
+                    (size,) = _LENGTH.unpack_from(frame)
+                    if size == len(frame) - _LENGTH.size:
+                        result = pickle.loads(frame[_LENGTH.size :])
+            if result is None:
+                result = _sgd(config, params, stack[a:b], centers[a:b])
+            theta, history, error = result
+            if error is not None:
+                raise error
+            thetas.append(theta)
+            histories.append(history)
+    finally:
+        # Only the workers of ranges after one that raised are left; their
+        # results are not needed, so they are not waited for.
+        for _, fd in workers.values():
+            os.close(fd)
+        for pid, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    theta = np.concatenate(thetas)
+    history = np.concatenate(histories, axis=1)
+    return [
+        SvddModel(
+            params=MlpParams(
+                layers=_layer_views(theta[i], params.layers),
+                activation=config.activation,
+                layer_dims=params.layer_dims,
+            ),
+            center=centers[i],
+            train_history=[(epoch, float(h[i])) for epoch, h in enumerate(history)],
+        )
+        for i in range(k)
+    ]
+
+
+# A training worker's frame: the byte length of what follows, then the
+# pickled result of ``_sgd`` on its range.
+_LENGTH = struct.Struct("<q")
+
+
+def _train_part(config: SvddConfig, params: MlpParams, stack, centers, w: int) -> None:
+    """A training worker: train the members of ``stack`` and write their
+    result to ``w`` as one frame."""
+    payload = pickle.dumps(_sgd(config, params, stack, centers))
+    data._write_all(w, _LENGTH.pack(len(payload)) + payload)
+
+
+def _read_to_end(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _sgd(config: SvddConfig, params: MlpParams, stack: np.ndarray, centers: np.ndarray):
+    """The SGD epochs of ``train`` for the members of a (m, n, d) stack,
+    all starting from ``params``, with their (m, e) ``centers``. Returns
+    ``(theta, history, error)``: the (m, P) trained weights, the (epochs,
+    m) per-epoch losses, and None or the error of the lowest-index member
+    that failed.
+
+    The weights are one (m, P) buffer ``theta``, each layer a (m, out,
+    in) view of it, and each product is one batched matmul whose m
+    products are the ones a member trained alone would make. The gradient
+    is one (m, P) buffer ``grad`` with matching views; the weight decay,
+    the finite-gradient check and the step are one call each over all
+    members and layers: elementwise each layer's ``w - lr * (g +
+    weight_decay * w)``. Every batch-sized array is a buffer allocated
+    once per batch size (the last batch of an epoch may be shorter), so a
+    step allocates none. A diverged member's NaNs stay in its own slice
+    while the others train on; training stops early only once member 0
+    has failed, as no other member's error can then be the one raised.
+    """
+    m, n, _ = stack.shape
+    dims = params.layer_dims
+    theta = np.repeat(np.concatenate([w.ravel() for w in params.layers])[None], m, axis=0)
     weights = _layer_views(theta, params.layers)
     grad = np.empty_like(theta)
     grads = _layer_views(grad, params.layers)
@@ -167,7 +272,7 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(n)
-            epoch_loss = np.zeros(k)
+            epoch_loss = np.zeros(m)
             for b, start in enumerate(range(0, n, bs)):
                 idx = order[start : start + bs]
                 nb = len(idx)
@@ -191,25 +296,12 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
                             if not loss_ok[i]
                             else ValueError("non-finite gradient entries"),
                         )
-                    if 0 in errors:  # no member can fail before member 0
-                        raise errors[0]
+                    if 0 in errors:
+                        return theta, None, errors[0]
                 theta -= np.multiply(grad, config.lr, out=step)
                 epoch_loss += loss * nb
             history.append(epoch_loss / n)
-    if errors:
-        raise errors[min(errors)]
-    return [
-        SvddModel(
-            params=MlpParams(
-                layers=_layer_views(theta[i], params.layers),
-                activation=config.activation,
-                layer_dims=dims,
-            ),
-            center=centers[i],
-            train_history=[(epoch, float(h[i])) for epoch, h in enumerate(history)],
-        )
-        for i in range(k)
-    ]
+    return theta, np.array(history).reshape(-1, m), errors[min(errors)] if errors else None
 
 
 def embed_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:

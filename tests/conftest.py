@@ -32,20 +32,21 @@ def rng():
 
 @pytest.fixture
 def failing_workers(monkeypatch):
-    """Make ``data._rows_text`` and ``data._raw_features`` raise in any
-    process but this one, so that every worker ``save_csv`` or
-    ``read_chunks`` forks fails."""
+    """Make ``data._rows_text``, ``data._raw_features`` and ``svdd._sgd``
+    raise in any process but this one, so that every worker ``save_csv``,
+    ``read_chunks`` or ``svdd.train`` forks fails."""
     here = os.getpid()
 
-    def fail_elsewhere(name):
-        real = getattr(data, name)
+    def fail_elsewhere(module, name):
+        real = getattr(module, name)
 
         def wrapped(*args):
             if os.getpid() != here:
                 raise RuntimeError("worker fails")
             return real(*args)
 
-        monkeypatch.setattr(data, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
-    fail_elsewhere("_rows_text")
-    fail_elsewhere("_raw_features")
+    fail_elsewhere(data, "_rows_text")
+    fail_elsewhere(data, "_raw_features")
+    fail_elsewhere(svdd, "_sgd")

@@ -802,6 +802,31 @@ class TestErrorExits:
         assert err.startswith("error: ") and str(folder) in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_a_model_that_cannot_be_read_exits_3(self, dataset_csv, tmp_path, capsys, kind):
+        model = tmp_path / "m.doc"
+        if kind == "directory":
+            model.mkdir()
+        code = run(["score", "--model", str(model), "--input", str(dataset_csv)])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert err.startswith(f"error: cannot read model {model}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["synth", "evaluate"])
+    def test_an_interrupt_exits_130(self, dataset_csv, tmp_path, monkeypatch, capsys, command):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, f"cmd_{command}", interrupted)
+        argv = {
+            "synth": ["synth", "--benign", "5", "--attack", "1", "--out", str(tmp_path / "x.csv")],
+            "evaluate": _argv("evaluate", dataset_csv, tmp_path),
+        }[command]
+        assert run(argv) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
     @pytest.mark.parametrize(
         "command, flag", [("train", "--out"), ("evaluate", "--out-json"), ("evaluate", "--out-table")]
     )

@@ -1,3 +1,8 @@
+import os
+import signal
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +11,7 @@ from docnids.errors import TrainingDivergedError
 from docnids.nn import Activation, MlpParams
 from docnids.svdd import SvddConfig
 
+from test_data import assert_reaped, count_forks, needs_fork, usable_cores
 from test_nn import kernel_gradients
 
 
@@ -240,25 +246,45 @@ def assert_members_trained_alone(config, stack, models):
 class TestStackedTraining:
     """One ``svdd.train`` call on a (k, n, d) stack is k trainings side by
     side: it returns what the k trainings one after another return, and
-    raises what they raise."""
+    raises what they raise. This class trains with one usable core, and
+    its subclasses with two and three, where ``svdd.train`` forks a
+    worker for each range of members after the first."""
+
+    cores = 1
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        """The pids forked in the test, with ``cores`` usable cores."""
+        usable_cores(monkeypatch, self.cores)
+        return count_forks(monkeypatch) if hasattr(os, "fork") else []
+
+    def assert_forked(self, forks, k):
+        """One worker was forked per range of a k-stack after the first,
+        and each is reaped."""
+        assert len(forks) == min(self.cores, k) - 1
+        assert_reaped(forks)
 
     @pytest.mark.parametrize("activation", list(Activation))
-    def test_members_equal_trained_alone(self, fixture_scaled, activation):
+    def test_members_equal_trained_alone(self, fixture_scaled, forks, activation):
         scaled, _ = fixture_scaled
         config = SvddConfig(epochs=4, batch_size=64, seed=4, activation=activation)
         rng = np.random.default_rng(5)
         stack = np.stack([scaled[rng.permutation(len(scaled))[:700]] for _ in range(3)])
-        assert_members_trained_alone(config, stack, svdd.train(config, stack))
+        models = svdd.train(config, stack)
+        self.assert_forked(forks, 3)
+        assert_members_trained_alone(config, stack, models)
 
-    def test_three_layers_with_ragged_batches(self):
+    def test_three_layers_with_ragged_batches(self, forks):
         ds = data.synth_generate(600, 10, 6, 0.6, seed=2)
         rng = np.random.default_rng(6)
         stack = np.stack([ds.rows[rng.permutation(600)[:271]] for _ in range(3)])
         config = SvddConfig(layer_dims=[6, 16, 8, 4], epochs=2, batch_size=7, seed=3)
         assert 271 % 7
-        assert_members_trained_alone(config, stack, svdd.train(config, stack))
+        models = svdd.train(config, stack)
+        self.assert_forked(forks, 3)
+        assert_members_trained_alone(config, stack, models)
 
-    def test_evaluate_with_two_stack_sizes(self, monkeypatch):
+    def test_evaluate_with_two_stack_sizes(self, monkeypatch, forks):
         ds = data.synth_generate(271, 30, 6, 0.6, seed=1)
         config = SvddConfig(layer_dims=[6, 16, 8, 4], epochs=2, batch_size=7, seed=0)
         trained = []
@@ -272,8 +298,10 @@ class TestStackedTraining:
         monkeypatch.setattr(svdd, "train", train)
         evaluation.evaluate(ds, ["doc"], config, k=3, seed=0)
         monkeypatch.undo()
-        # 271 benign rows in 3 folds: one fold of 91 and two of 90
+        # 271 benign rows in 3 folds: one fold of 91 and two of 90; only
+        # the stack of two can fork
         assert sorted(stack.shape[:2] for stack, _ in trained) == [(1, 180), (2, 181)]
+        self.assert_forked(forks, 2)
         for stack, models in trained:
             assert_members_trained_alone(config, stack, models)
 
@@ -292,12 +320,19 @@ class TestStackedTraining:
                 svdd.train(self.diverging, x[None])
         raise AssertionError("no member diverged")
 
+    # With two cores this process trains members 0 and 1 of three and a
+    # worker member 2; with three each member has its own process.
     @pytest.mark.parametrize(
         "scales, epoch",
-        [((1.0, 4.0, 8.0), 2), ((4.0, 8.0), 2), ((1.0, 8.0, 4.0), 1)],
-        ids=["late_before_early", "first_diverges_last", "early_before_late"],
+        [
+            ((1.0, 4.0, 8.0), 2),
+            ((4.0, 8.0), 2),
+            ((1.0, 8.0, 4.0), 1),
+            ((1.0, 1.0, 4.0), 2),
+        ],
+        ids=["late_before_early", "first_diverges_last", "early_before_late", "only_the_last"],
     )
-    def test_divergence_raises_the_lowest_member_error(self, rows, scales, epoch):
+    def test_divergence_raises_the_lowest_member_error(self, rows, forks, scales, epoch):
         stack = np.stack([rows * s for s in scales])
         with pytest.raises(TrainingDivergedError) as alone:
             self.first_error(stack)
@@ -305,10 +340,164 @@ class TestStackedTraining:
         with pytest.raises(TrainingDivergedError) as stacked:
             svdd.train(self.diverging, stack)
         assert str(stacked.value) == str(alone.value)
+        self.assert_forked(forks, len(scales))
 
     def test_rejects_unstacked_rows(self, rows):
         with pytest.raises(ValueError, match=r"\(k, n, d\) stack"):
             svdd.train(SvddConfig(layer_dims=[4, 2], epochs=1), rows)
+
+
+@needs_fork
+class TestStackedTrainingOnTwoCores(TestStackedTraining):
+    cores = 2
+
+
+@needs_fork
+class TestStackedTrainingOnThreeCores(TestStackedTraining):
+    cores = 3
+
+
+@needs_fork
+class TestTrainingWorkers:
+    """With P usable cores, ``svdd.train`` trains its first range of
+    members itself and forks one worker for each other range; the models
+    must not depend on the workers, and no worker outlives the call."""
+
+    config = SvddConfig(layer_dims=[4, 6, 2], epochs=3, batch_size=8, seed=2)
+
+    @pytest.fixture
+    def stack(self):
+        rng = np.random.default_rng(4)
+        return rng.uniform(size=(3, 40, 4)) * np.array([1.0, 2.0, 3.0])[:, None, None]
+
+    @pytest.mark.parametrize("fail_from", [0, 1])
+    def test_a_failed_fork_trains_its_range_here(self, stack, monkeypatch, fail_from):
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch, fail_from)
+        models = svdd.train(self.config, stack)
+        assert len(pids) == fail_from
+        assert_reaped(pids)
+        assert_members_trained_alone(self.config, stack, models)
+
+    def test_a_failing_worker_gives_the_same_models(self, stack, monkeypatch, failing_workers):
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch)
+        models = svdd.train(self.config, stack)
+        assert len(pids) == 2
+        assert_reaped(pids)
+        assert_members_trained_alone(self.config, stack, models)
+
+    def test_a_short_frame_trains_its_range_here(self, stack, monkeypatch):
+        here, real = os.getpid(), data._write_all
+
+        def write_half(fd, frame):
+            real(fd, frame if os.getpid() == here else frame[: len(frame) // 2])
+
+        monkeypatch.setattr(data, "_write_all", write_half)
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch)
+        models = svdd.train(self.config, stack)
+        assert len(pids) == 2
+        assert_reaped(pids)
+        assert_members_trained_alone(self.config, stack, models)
+
+    def test_the_frame_of_a_failed_worker_is_not_used(self, stack, monkeypatch):
+        # each worker writes a whole frame of wrong weights, then fails
+        here, real_sgd, real_write = os.getpid(), svdd._sgd, data._write_all
+
+        def wrong_weights(*args):
+            theta, history, error = real_sgd(*args)
+            return theta + (os.getpid() != here), history, error
+
+        def write_then_fail(fd, frame):
+            real_write(fd, frame)
+            if os.getpid() != here:
+                raise RuntimeError("worker fails")
+
+        monkeypatch.setattr(svdd, "_sgd", wrong_weights)
+        monkeypatch.setattr(data, "_write_all", write_then_fail)
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch)
+        models = svdd.train(self.config, stack)
+        assert len(pids) == 2
+        assert_reaped(pids)
+        monkeypatch.undo()
+        assert_members_trained_alone(self.config, stack, models)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_divergence_here_kills_the_workers(self, monkeypatch, cores):
+        # member 0 diverges in its first epoch; the others would train for
+        # 100,000 epochs of 5 batches, many seconds at any batch speed
+        rows = np.random.default_rng(3).uniform(size=(40, 4))
+        stack = np.stack([rows * 1e150, rows, rows])
+        config = SvddConfig(layer_dims=[4, 6, 2], epochs=100_000, batch_size=8, seed=1)
+        usable_cores(monkeypatch, cores)
+        pids = count_forks(monkeypatch)
+        killed, real_kill = [], os.kill
+
+        def kill(pid, sig):
+            killed.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", kill)
+        start = time.perf_counter()
+        with pytest.raises(TrainingDivergedError, match="at epoch 0,"):
+            svdd.train(config, stack)
+        assert time.perf_counter() - start < 5.0
+        assert len(pids) == cores - 1
+        assert killed == [(pid, signal.SIGKILL) for pid in pids]
+        assert_reaped(pids)
+
+    def test_an_interrupt_reaps_the_workers(self, stack, monkeypatch):
+        here, real = os.getpid(), svdd._sgd
+
+        def interrupted_here(*args):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(svdd, "_sgd", interrupted_here)
+        usable_cores(monkeypatch, 3)
+        pids = count_forks(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            svdd.train(self.config, stack)
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    def test_one_member_forks_nothing(self, stack, monkeypatch):
+        usable_cores(monkeypatch, 2)
+        pids = count_forks(monkeypatch)
+        svdd.train(self.config, stack[:1])
+        assert pids == []
+
+    def test_forking_warns_of_nothing(self, stack, monkeypatch):
+        # as TestSaveCsvParts.test_forking_warns_of_nothing, after a BLAS
+        # call has started the BLAS library's threads, if it has any
+        usable_cores(monkeypatch, 2)
+        pids = count_forks(monkeypatch)
+        a = np.ones((64, 64))
+        assert (a @ a)[0, 0] == 64.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            svdd.train(self.config, stack)
+        assert [str(w.message) for w in caught] == []
+        assert len(pids) == 1
+
+    @pytest.mark.parametrize("protocol", ["kfold", "holdout"])
+    def test_evaluate_reports_do_not_depend_on_the_cores(self, fixture_ds, monkeypatch, protocol):
+        config = SvddConfig(epochs=3, seed=1)
+
+        def reports(cores):
+            usable_cores(monkeypatch, cores)
+            out = evaluation.evaluate(
+                fixture_ds, ["doc", "svdd", "hbos", "pca"], config, protocol=protocol, k=5
+            )
+            for r in out:
+                del r["wall_seconds"]
+            return out
+
+        assert reports(2) == reports(1)
 
 
 class TestEmbedAndScore:
