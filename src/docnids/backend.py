@@ -72,6 +72,19 @@ def backward_pass(weights: list, acts: list, delta: np.ndarray, grads: list, buf
             d *= buf.factors[i - 1]
 
 
+def bin_index(lo: np.ndarray, width: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
+    """The int64 bin of each coordinate of a (n, d) ``z`` among ``k`` bins
+    of ``width`` from ``lo``, half-open but the last; out-of-range values
+    clamp to the edge bins, and a zero ``width`` puts all in bin 0."""
+    safe_w = np.where(width > 0.0, width, 1.0)
+    idx = np.floor((z - lo) / safe_w).astype(np.int64)
+    # in place: np.clip on an int array with int bounds builds two iinfo per call
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, k - 1, out=idx)
+    idx[:, width == 0.0] = 0
+    return idx
+
+
 def hbos_scores(
     lo: np.ndarray,
     width: np.ndarray,
@@ -81,17 +94,11 @@ def hbos_scores(
 ) -> np.ndarray:
     """Sum of log-inverse normalized bin heights per row of ``z``.
 
-    ``heights`` has shape (d, k). Out-of-range coordinates clamp to the
-    edge bins; a zero ``width`` marks a degenerate dimension whose only
-    bin is index 0. Heights below ``floor`` are floored before the log.
+    ``heights`` has shape (d, k), and each coordinate's bin is its
+    ``bin_index``. Heights below ``floor`` are floored before the log.
     """
     d, k = heights.shape
-    safe_w = np.where(width > 0.0, width, 1.0)
-    idx = np.floor((z - lo) / safe_w).astype(np.int64)
-    # in place: np.clip on an int array with int bounds builds two iinfo per call
-    np.maximum(idx, 0, out=idx)
-    np.minimum(idx, k - 1, out=idx)
-    idx[:, width == 0.0] = 0
+    idx = bin_index(lo, width, k, z)
     h = heights[np.arange(d)[None, :], idx]
     # 0.0 - sum, not -sum: a row in every tallest bin scores +0.0
     return 0.0 - np.log(np.maximum(h, floor)).sum(axis=1)

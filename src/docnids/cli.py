@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import data, evaluation, pipeline
+from . import data, evaluation, hbos, pipeline
 from .errors import DataError, ModelFormatError, TrainingDivergedError
 from .nn import Activation
 from .svdd import SvddConfig
@@ -126,21 +126,21 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = _svdd_config(args)
+    spec = None if args.train_fraction is None else data.SplitSpec(args.train_fraction, args.seed)
+    pipeline.check_contamination(args.contamination)
+    hbos.check_bins(args.bins)
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
     benign = ds.rows[ds.labels == 0]
     if benign.shape[0] == 0:
         raise DataError("no benign rows to train on")
-    if args.train_fraction is not None:
-        spec = data.SplitSpec(args.train_fraction, args.seed)
+    if spec is not None:
         benign = ds.rows[data.split_benign_indices(ds.labels, spec)[0]]
     scaler = data.fit_scaler(benign)
     scaled = data.apply_scaler(scaler, benign)
-    try:
-        model = pipeline.fit(
-            config, scaled, scaler, ds.columns, bins=args.bins, contamination=args.contamination
-        )
-    except ValueError as e:
-        raise CliError(str(e), EXIT_FLAG)
+    # a ValueError here is a flag error: main exits 2
+    model = pipeline.fit(
+        config, scaled, scaler, ds.columns, bins=args.bins, contamination=args.contamination
+    )
     try:
         pipeline.save(model, args.out)
     except OSError as e:
@@ -231,6 +231,9 @@ def _write_text(path, text: str) -> None:
 def cmd_evaluate(args) -> int:
     names = _detector_names(args.detectors)
     config = _svdd_config(args)
+    evaluation.check_settings(
+        args.protocol, args.k, args.train_fraction, args.contamination, args.bins
+    )
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
     if ds.n_attack == 0 or ds.n_benign == 0:
         raise DataError("evaluation needs both benign and attack rows")

@@ -2,7 +2,8 @@
 
 Preprocessing follows the benign-only protocol: flow identifier columns
 are dropped, features are min-max scaled on the benign training rows
-only, and attack rows appear exclusively in test sets.
+only, and attack rows appear exclusively in test sets. ``save_csv`` and
+``read_chunks`` share their work with other cores through ``workers``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import math
 import operator
 import os
 import stat
-import struct
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .errors import DataError
 
 DEFAULT_DROP_COLUMNS = (
@@ -153,9 +154,9 @@ class CsvRest:
     the raw-line chunks read so far, as ``csv.reader`` counts lines; after
     a ``csv`` error, it is the line that error is on. ``path`` names the
     file for the parse workers, which ``read_chunks`` starts only where it
-    is set; ``parsers`` holds one ``(pid, read end)`` per other usable
-    core, or None where its worker could not be forked, and is empty
-    before the workers start and after they stop."""
+    is set. Once they start, with P usable cores, ``parsers[c mod P]``
+    parses chunk c, None being this process (at index 0, and wherever a
+    worker could not be started); it is empty before and after."""
 
     file: Iterator[str]
     line_num: int = 0
@@ -171,10 +172,9 @@ def open_csv(path):
     errors (a cell over ``csv.field_size_limit()``, a NUL byte before
     Python 3.11) raise DataError here and in reads within the block.
 
-    The parse workers ``read_chunks`` forks live inside the block: leaving
+    The parse workers ``read_chunks`` starts live inside the block: leaving
     it by any path (the end of the file, an error, a closed stdout, an
-    interrupt) closes their pipes' read ends, so a worker blocked on a
-    full pipe fails its write, and then reaps every one of them."""
+    interrupt) stops them (``workers.stop``)."""
     try:
         f = open(path, newline="", encoding="utf-8")
     except OSError as e:
@@ -197,7 +197,7 @@ def open_csv(path):
         except csv.Error as e:
             raise DataError(f"{path}: line {rest.line_num}: {e}") from None
         finally:
-            _stop_parsers(rest)
+            workers.stop(rest.parsers)
 
 
 def read_chunks(rest: CsvRest, feature_idx: list[int], width: int):
@@ -215,26 +215,25 @@ def read_chunks(rest: CsvRest, feature_idx: list[int], width: int):
 
     This process reads every line itself. If the first chunk is full and
     raw, ``rest`` names a regular file and more than one core is usable,
-    it forks one parse worker per other core (``_start_parsers``), and
-    the workers run ``_raw_features`` on their chunks, round robin. A
-    worker's chunk whose frame is missing, short, for other lines or not
-    vouched for is parsed here, the workers are stopped, and the rest is
-    read as with one core; so the chunks never depend on the workers.
-    ``open_csv`` reaps the workers whenever its block is left."""
+    ``_start_parsers`` starts a parse worker for each other core, which
+    sends ``(lines, characters, features)`` for each chunk it owns. A
+    chunk whose frame is not whole, is for other lines or is not vouched
+    for is parsed here, the workers are stopped, and the rest is read as
+    with one core; ``open_csv`` stops them whenever its block is left."""
     start = 0
     for c in itertools.count():
         lines = list(itertools.islice(rest.file, CHUNK_ROWS))
         if not lines:
             return
-        owner = c % (len(rest.parsers) + 1)
-        worker = rest.parsers[owner - 1] if owner else None
-        x = None
-        if worker is not None and (x := _read_frame(worker[1], lines, len(feature_idx))) is None:
-            _stop_parsers(rest)
+        worker = rest.parsers[c % len(rest.parsers)] if rest.parsers else None
+        frame = None if worker is None else workers.receive(worker)
+        x = frame[2] if frame and frame[:2] == (len(lines), sum(map(len, lines))) else None
         if x is None:
             x = _raw_features(lines, feature_idx, width)
+            # a worker's chunk parsed here, or one that needs csv: one core from here on
+            if worker is not None or x is None:
+                workers.stop(rest.parsers)
         if x is None:
-            _stop_parsers(rest)
             yield from _csv_chunks(rest, lines, start, feature_idx, width)
             return
         if not lines[-1].endswith("\n"):
@@ -246,22 +245,11 @@ def read_chunks(rest: CsvRest, feature_idx: list[int], width: int):
         start += len(lines)
 
 
-# A parse worker's frame for one chunk: its line count, its character
-# count and whether the worker vouches for it; then, if it does, the
-# chunk's features as float64 bytes.
-_FRAME = struct.Struct("<qq?")
-
-
-def _usable_cores() -> int:
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
-
-
 def _start_parsers(rest: CsvRest, feature_idx: list[int], width: int) -> None:
-    """Fork one parse worker for each usable core past the first, for the
+    """Start one parse worker for each usable core past the first, for the
     chunks after the ``rest.line_num`` lines read so far; none unless
     ``rest`` names a regular file."""
-    parts = _usable_cores()
+    parts = workers.usable_cores()
     if parts < 2 or rest.path is None:
         return
     try:
@@ -270,21 +258,20 @@ def _start_parsers(rest: CsvRest, feature_idx: list[int], width: int) -> None:
         return
     if not stat.S_ISREG(st.st_mode):
         return
+    rest.parsers = [None]
     for part in range(1, parts):
         work = functools.partial(
             _parse_part, rest.path, (st.st_dev, st.st_ino), rest.line_num,
             part, parts, feature_idx, width,
         )
-        inherited = [f.fileno() for _, f in filter(None, rest.parsers)]
-        worker = _fork_worker(work, inherited)
-        rest.parsers.append(None if worker is None else (worker[0], open(worker[1], "rb")))
+        rest.parsers.append(workers.start(work))
 
 
-def _parse_part(path, file_id, skip: int, part: int, parts: int, feature_idx, width, w: int):
+def _parse_part(path, file_id, skip: int, part: int, parts: int, feature_idx, width, send):
     """A parse worker: open ``path`` afresh, and if it is still the file
-    ``file_id`` names, skip ``skip`` lines and write a frame to ``w`` for
-    each chunk c after them with c mod ``parts`` = ``part``, counting from
-    1. It stops after the first chunk it cannot vouch for."""
+    ``file_id`` names, skip ``skip`` lines and ``send`` ``(lines,
+    characters, features)`` for each chunk c after them with c mod
+    ``parts`` = ``part``, counting from 1, up to one it cannot vouch for."""
     with open(path, newline="", encoding="utf-8") as f:
         st = os.fstat(f.fileno())
         if (st.st_dev, st.st_ino) != file_id:
@@ -298,35 +285,9 @@ def _parse_part(path, file_id, skip: int, part: int, parts: int, feature_idx, wi
             if c % parts != part:
                 continue
             x = _raw_features(lines, feature_idx, width)
-            frame = _FRAME.pack(len(lines), sum(map(len, lines)), x is not None)
-            _write_all(w, frame if x is None else frame + x.tobytes())
+            send((len(lines), sum(map(len, lines)), x))
             if x is None:
                 return
-
-
-def _read_frame(pipe, lines: list[str], n_features: int):
-    """The features of ``lines`` from a parse worker's next frame on
-    ``pipe``, or None unless the frame is whole, is for as many lines of
-    as many characters, and is vouched for."""
-    head = pipe.read(_FRAME.size)
-    if len(head) < _FRAME.size:
-        return None
-    n, chars, vouched = _FRAME.unpack(head)
-    if not vouched or n != len(lines) or chars != sum(map(len, lines)):
-        return None
-    x = np.empty((n, n_features), dtype=np.float64)
-    return x if pipe.readinto(x) == x.nbytes else None
-
-
-def _stop_parsers(rest: CsvRest) -> None:
-    """Close every parse worker's read end, then reap each worker. A
-    worker blocked on a full pipe then fails its write, so no wait hangs."""
-    workers = list(filter(None, rest.parsers))
-    rest.parsers.clear()
-    for _, pipe in workers:
-        pipe.close()
-    for pid, _ in workers:
-        os.waitpid(pid, 0)
 
 
 # A chunk holding any of these goes to csv.reader, which (with float) may
@@ -406,52 +367,12 @@ def _rows_text(rows: np.ndarray, tails: list[tuple], tail_text: dict) -> bytes:
     ).encode("utf-8")
 
 
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _fork_worker(work: Callable[[int], None], inherited: list[int]) -> tuple[int, int] | None:
-    """Fork a worker that calls ``work`` with the write end of a pipe and
-    leaves through ``os._exit``, with code 0 if ``work`` returned and 1 if
-    it raised, so it never flushes or cleans up what it shares with this
-    process; it first closes the pipe ends in ``inherited``. Return its
-    pid and the pipe's read end, or None where no worker can be started."""
-    if not hasattr(os, "fork"):
-        return None
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            for fd in (r, *inherited):
-                os.close(fd)
-            work(w)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
 def save_csv(ds: LabeledDataset, path, label_column: str = "Label") -> None:
     """Write a dataset back out; floats use shortest round-trip formatting.
 
-    Formatting the floats is nearly all the cost, so the rows are cut
-    into one contiguous range per usable core. This process formats the
-    first range, and any range whose worker cannot be forked; a forked
-    worker formats each other range into a pipe, which is copied into
-    the file in order. The bytes do not depend on the number of ranges.
-    A worker that fails raises OSError.
+    Formatting the floats is nearly all the cost, so the rows are
+    formatted in ``workers.ranges``, one contiguous range per usable core;
+    the bytes do not depend on the number of ranges.
     """
     header = list(ds.columns) + [label_column]
     labels = [str(int(v)) for v in ds.labels.tolist()]
@@ -463,46 +384,13 @@ def save_csv(ds: LabeledDataset, path, label_column: str = "Label") -> None:
     # Only a category may need quoting, and the distinct tails are few.
     tail_text = {tail: _csv_line(tail) for tail in set(tails)}
     rows = np.asarray(ds.rows, dtype=np.float64)
-    parts = max(1, min(_usable_cores(), len(rows)))
-    cuts = [len(rows) * i // parts for i in range(parts + 1)]
-    ranges = list(itertools.pairwise(cuts))
 
     def text(a: int, b: int) -> bytes:
         return _rows_text(rows[a:b], tails[a:b], tail_text)
 
-    def write(a: int, b: int, fd: int) -> None:
-        _write_all(fd, text(a, b))
-
-    workers: dict[tuple[int, int], tuple[int, int]] = {}
-    with open(path, "wb") as f:
-        try:
-            for a, b in ranges[1:]:
-                worker = _fork_worker(
-                    functools.partial(write, a, b), [fd for _, fd in workers.values()]
-                )
-                if worker is not None:
-                    workers[a, b] = worker
-            f.write(_csv_line(header).encode("utf-8"))
-            for a, b in ranges:
-                if (a, b) not in workers:
-                    f.write(text(a, b))
-                    continue
-                pid, fd = workers[a, b]
-                while chunk := os.read(fd, 1 << 16):
-                    f.write(chunk)
-                os.close(fd)
-                del workers[a, b]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code != 0:
-                    raise OSError(f"the worker for rows {a} to {b - 1} exited with code {code}")
-        finally:
-            # After a failure here, a worker may be blocked on a full pipe
-            # that nothing will read. Closing every read end first makes
-            # each such write fail, so that no reap waits forever.
-            for _, fd in workers.values():
-                os.close(fd)
-            for pid, _ in workers.values():
-                os.waitpid(pid, 0)
+    with open(path, "wb") as f, contextlib.closing(workers.ranges(len(rows), text)) as texts:
+        f.write(_csv_line(header).encode("utf-8"))
+        f.writelines(texts)
 
 
 def fit_scaler(train: np.ndarray) -> ScalerParams:

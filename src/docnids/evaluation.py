@@ -228,9 +228,7 @@ def _evaluate_fold(
 
 
 def benign_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    """Seeded partition of the benign row indices into k folds."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    """Seeded partition of the benign row indices into k >= 2 folds."""
     benign_idx = np.flatnonzero(np.asarray(labels) == 0)
     if benign_idx.size < k:
         raise DataError(f"need at least {k} benign rows for {k}-fold evaluation")
@@ -246,6 +244,19 @@ def _scaled_stack(rows, splits, scalers, members) -> np.ndarray:
     for x, i in zip(stack, members):
         apply_scaler(scalers[i], rows[splits[i][0]], out=x)
     return stack
+
+
+def check_settings(protocol: str, k: int, train_fraction: float, contamination: float, bins: int):
+    """The checks of ``evaluate``'s settings that need no data; k is read
+    only for ``kfold`` and the train fraction only for ``holdout``."""
+    pipeline.check_contamination(contamination)
+    hbos.check_bins(bins)
+    if protocol == "kfold" and k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if protocol == "holdout":
+        SplitSpec(train_fraction)
+    elif protocol != "kfold":
+        raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def evaluate(
@@ -282,8 +293,7 @@ def evaluate(
     share of its stack's training time: the stack's wall time divided by
     its members, however many cores trained them."""
     # checked before any fold, whichever detectors run
-    pipeline.check_contamination(contamination)
-    hbos.check_bins(bins)
+    check_settings(protocol, k, train_fraction, contamination, bins)
     if ds.n_attack == 0:
         raise DataError("dataset contains no attack rows")
     config = config or SvddConfig()
@@ -296,11 +306,9 @@ def evaluate(
                 raise DataError(f"fold {i} has zero benign test rows")
             train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
             splits.append((train_idx, np.concatenate([test_benign, attack_idx])))
-    elif protocol == "holdout":
+    else:
         k = 1
         splits = [split_benign_indices(ds.labels, SplitSpec(train_fraction, seed))]
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
 
     scalers, seconds = [], []
     for train_idx, _ in splits:

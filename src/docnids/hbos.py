@@ -50,18 +50,13 @@ def fit_histograms(z: np.ndarray, k: int) -> HistogramSet:
     if z.ndim != 2 or z.shape[0] == 0:
         raise ValueError("need a non-empty 2-D matrix")
     check_bins(k)
-    n, d = z.shape
+    d = z.shape[1]
     lo = z.min(axis=0)
     hi = z.max(axis=0)
-    heights = np.zeros((d, k))
-    for j in range(d):
-        if lo[j] == hi[j]:
-            heights[j, 0] = 1.0
-            continue
-        w = (hi[j] - lo[j]) / k
-        idx = np.clip(np.floor((z[:, j] - lo[j]) / w).astype(np.int64), 0, k - 1)
-        counts = np.bincount(idx, minlength=k)
-        heights[j] = counts / counts.max()
+    idx = backend.bin_index(lo, (hi - lo) / k, k, z)
+    # one count over every column, column j's bins offset by j * k
+    counts = np.bincount((idx + k * np.arange(d)).ravel(), minlength=d * k).reshape(d, k)
+    heights = counts / counts.max(axis=1, keepdims=True)
     return HistogramSet(lo=lo, hi=hi, k=k, heights=heights)
 
 

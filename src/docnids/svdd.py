@@ -2,23 +2,19 @@
 
 Minimizes the mean squared distance of embeddings to a fixed center,
 plus a weight-decay term, by mini-batch SGD. The center is the
-eps-adjusted mean of the initial embeddings and is never trained.
+eps-adjusted mean of the initial embeddings and is never trained. The
+members of a stack are trained in ranges through ``workers``.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
+import contextlib
 import math
-import os
-import pickle
-import signal
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend, data, nn
+from . import backend, nn, workers
 from .errors import TrainingDivergedError
 from .nn import Activation, MlpParams
 
@@ -127,13 +123,8 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     never interact, so each member's weights, center and loss history are
     bit-equal to training it alone (see ``_sgd``).
 
-    With P usable cores, the members are cut into min(P, k) contiguous
-    ranges. Every member's center is computed here first; then one worker
-    is forked for each range after the first, and each trains its range
-    while this process trains the first one; the workers' results are
-    then read in member order. A range whose worker cannot be forked, or
-    exits with an error, or whose frame is missing or short, is trained
-    here. Nothing forks for k = 1 or one usable core.
+    Every member's center is computed here first; then the members are
+    trained in ``workers.ranges``, so nothing forks for k = 1.
 
     Returns one model per member: the weights, the center and the
     per-epoch loss; the weight decay only shapes training and is not kept.
@@ -142,8 +133,7 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     the error (TrainingDivergedError, naming the epoch and batch) is its
     own, and the error raised is that of the lowest-index member that
     failed, as training the members one after another would raise. Once
-    a range has raised, the workers of later ranges are killed, and every
-    worker is reaped whichever way this call is left.
+    a range has raised, the workers of later ranges are stopped.
     """
     config.validate()
     # contiguous, or every batch's take would copy the whole stack
@@ -157,47 +147,17 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     # Before any fork: a worker's first large BLAS product would start the
     # BLAS library's threads in it, to spin while both processes train.
     centers = np.stack([init_center(params, x, config.center_eps) for x in stack])
-    parts = min(data._usable_cores(), k)
-    # Rounded up, so that the first range, trained here, is the largest; on
-    # two cores, that trained the 5-member fold stack faster than the
-    # other way round.
-    cuts = [(k * i + parts - 1) // parts for i in range(parts + 1)]
-    ranges = list(itertools.pairwise(cuts))
-    workers: dict[int, tuple[int, int]] = {}
+
+    def train_range(a: int, b: int):
+        return _sgd(config, params, stack[a:b], centers[a:b])
+
     thetas, histories = [], []
-    try:
-        for a, b in ranges[1:]:
-            work = functools.partial(_train_part, config, params, stack[a:b], centers[a:b])
-            worker = data._fork_worker(work, [fd for _, fd in workers.values()])
-            if worker is not None:
-                workers[a] = worker
-        for a, b in ranges:
-            result = None
-            if a in workers:
-                pid, fd = workers[a]
-                frame = _read_to_end(fd)
-                os.close(fd)
-                del workers[a]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code == 0 and len(frame) >= _LENGTH.size:
-                    (size,) = _LENGTH.unpack_from(frame)
-                    if size == len(frame) - _LENGTH.size:
-                        result = pickle.loads(frame[_LENGTH.size :])
-            if result is None:
-                result = _sgd(config, params, stack[a:b], centers[a:b])
-            theta, history, error = result
+    with contextlib.closing(workers.ranges(k, train_range)) as results:
+        for theta, history, error in results:
             if error is not None:
                 raise error
             thetas.append(theta)
             histories.append(history)
-    finally:
-        # Only the workers of ranges after one that raised are left; their
-        # results are not needed, so they are not waited for.
-        for _, fd in workers.values():
-            os.close(fd)
-        for pid, _ in workers.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     theta = np.concatenate(thetas)
     history = np.concatenate(histories, axis=1)
     return [
@@ -212,25 +172,6 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
         )
         for i in range(k)
     ]
-
-
-# A training worker's frame: the byte length of what follows, then the
-# pickled result of ``_sgd`` on its range.
-_LENGTH = struct.Struct("<q")
-
-
-def _train_part(config: SvddConfig, params: MlpParams, stack, centers, w: int) -> None:
-    """A training worker: train the members of ``stack`` and write their
-    result to ``w`` as one frame."""
-    payload = pickle.dumps(_sgd(config, params, stack, centers))
-    data._write_all(w, _LENGTH.pack(len(payload)) + payload)
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
 
 
 def _sgd(config: SvddConfig, params: MlpParams, stack: np.ndarray, centers: np.ndarray):

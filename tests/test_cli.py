@@ -19,6 +19,8 @@ from docnids.hbos import HistogramSet
 from docnids.nn import MlpParams
 from docnids.svdd import SvddConfig
 
+from test_data import assert_reaped, count_forks, usable_cores
+
 
 def run(argv):
     return cli.main(argv)
@@ -132,14 +134,20 @@ class TestSynth:
         assert not out.exists()
 
     @needs_fork
-    def test_a_failed_worker_exits_2(self, tmp_path, monkeypatch, capsys, failing_workers):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    def test_a_failed_worker_changes_nothing(self, tmp_path, monkeypatch, capsys, failing_workers):
+        # the range of the failed worker is formatted here
+        argv = "synth --benign 50 --attack 5 --dims 3 --out".split()
+        usable_cores(monkeypatch, 1)
+        assert run(argv + [str(tmp_path / "one_core.csv")]) == 0
+        capsys.readouterr()
+        usable_cores(monkeypatch, 2)
+        pids = count_forks(monkeypatch)
         out = tmp_path / "x.csv"
-        code = run("synth --benign 50 --attack 5 --dims 3 --out".split() + [str(out)])
-        err = capsys.readouterr().err
-        assert code == 2
-        worker = "the worker for rows 27 to 54 exited with code 1"
-        assert err == f"error: cannot write {out}: {worker}\n"
+        code = run(argv + [str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert out.read_bytes() == (tmp_path / "one_core.csv").read_bytes()
+        assert len(pids) == 1
+        assert_reaped(pids)
 
     @needs_fork
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -163,6 +171,20 @@ class TestSynth:
             [str(tmp_path / "x.csv")],
         )
         assert (child.returncode, child.stdout, child.stderr) == (0, "x", "")
+
+
+# Flags checked before the CSV is read, with the message each gives.
+EARLY_FLAG_ERRORS = {
+    "train --train-fraction 2": "benign_train_fraction must be in (0, 1), got 2.0",
+    "train --bins 0": "bin count must be >= 1, got 0",
+    "train --contamination 1": "contamination must be in (0, 1), got 1.0",
+    "evaluate --k 1": "k must be >= 2, got 1",
+    "evaluate --protocol holdout --train-fraction 0": (
+        "benign_train_fraction must be in (0, 1), got 0.0"
+    ),
+    "evaluate --bins 0": "bin count must be >= 1, got 0",
+    "evaluate --contamination 1": "contamination must be in (0, 1), got 1.0",
+}
 
 
 class TestTrain:
@@ -251,6 +273,32 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err and flag[2:].replace("-", "_") + " must be finite" in err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv", EARLY_FLAG_ERRORS, ids=lambda a: a.replace(" --", "-").replace(" ", "=")
+    )
+    def test_flags_that_need_no_data_exit_2_before_reading(
+        self, dataset_csv, tmp_path, monkeypatch, capsys, argv
+    ):
+        def load_csv(*args):
+            raise AssertionError("the CSV was read")
+
+        monkeypatch.setattr(data, "load_csv", load_csv)
+        model_path = tmp_path / "m.doc"
+        command, *flags = argv.split()
+        flags += ["--input", str(dataset_csv)]
+        flags += ["--out", str(model_path)] if command == "train" else []
+        assert run([command, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {EARLY_FLAG_ERRORS[argv]}\n"
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "flags", ["--train-fraction 0", "--protocol holdout --k 1"], ids=["kfold", "holdout"]
+    )
+    def test_a_flag_of_the_other_protocol_is_ignored(self, dataset_csv, capsys, flags):
+        argv = ["evaluate", "--input", str(dataset_csv), "--k", "3", *flags.split()]
+        assert run([*argv, "--epochs", "1", "--detectors", "hbos"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def _drop_last_hist_dim(m):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from docnids import backend, data, evaluation, nn, svdd
+from docnids import backend, data, evaluation, nn, svdd, workers
 from docnids.errors import TrainingDivergedError
 from docnids.nn import Activation, MlpParams
 from docnids.svdd import SvddConfig
@@ -388,12 +388,12 @@ class TestTrainingWorkers:
         assert_members_trained_alone(self.config, stack, models)
 
     def test_a_short_frame_trains_its_range_here(self, stack, monkeypatch):
-        here, real = os.getpid(), data._write_all
+        real = workers._write
 
         def write_half(fd, frame):
-            real(fd, frame if os.getpid() == here else frame[: len(frame) // 2])
+            real(fd, frame[: len(frame) // 2])
 
-        monkeypatch.setattr(data, "_write_all", write_half)
+        monkeypatch.setattr(workers, "_write", write_half)
         usable_cores(monkeypatch, 3)
         pids = count_forks(monkeypatch)
         models = svdd.train(self.config, stack)
@@ -403,7 +403,7 @@ class TestTrainingWorkers:
 
     def test_the_frame_of_a_failed_worker_is_not_used(self, stack, monkeypatch):
         # each worker writes a whole frame of wrong weights, then fails
-        here, real_sgd, real_write = os.getpid(), svdd._sgd, data._write_all
+        here, real_sgd, real_write = os.getpid(), svdd._sgd, workers._write
 
         def wrong_weights(*args):
             theta, history, error = real_sgd(*args)
@@ -411,11 +411,10 @@ class TestTrainingWorkers:
 
         def write_then_fail(fd, frame):
             real_write(fd, frame)
-            if os.getpid() != here:
-                raise RuntimeError("worker fails")
+            raise RuntimeError("worker fails")
 
         monkeypatch.setattr(svdd, "_sgd", wrong_weights)
-        monkeypatch.setattr(data, "_write_all", write_then_fail)
+        monkeypatch.setattr(workers, "_write", write_then_fail)
         usable_cores(monkeypatch, 3)
         pids = count_forks(monkeypatch)
         models = svdd.train(self.config, stack)
