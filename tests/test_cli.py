@@ -888,6 +888,83 @@ class TestErrorExits:
         assert list(folder.iterdir()) == []
 
 
+FLAG_ERROR_SITES = [
+    "doc_seed", "layer_dims_text", "training_flags", "synth_flags", "synth_memory",
+    "synth_out", "train_out", "evaluate_out_json", "evaluate_out_table",
+    "no_detector", "unknown_detector", "repeated_detector", "report_read",
+]
+
+
+def _flag_error(site, csv_path, tmp_path, monkeypatch):
+    """The argv of one flag error site and the exact line it prints."""
+    missing = tmp_path / "no_such_dir" / "out"
+    enoent = f"[Errno 2] No such file or directory: {str(missing)!r}"
+    synth = ["synth", "--benign", "20", "--attack", "5", "--dims", "3"]
+    train = ["train", "--input", str(csv_path), "--epochs", "1"]
+    evaluate = ["evaluate", "--input", str(csv_path), "--k", "2"]
+    if site == "doc_seed":
+        monkeypatch.setenv("DOC_SEED", "abc")
+        return synth + ["--out", str(missing)], "DOC_SEED must be an integer, got 'abc'"
+    if site == "synth_memory":
+        def synth_generate(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(data, "synth_generate", synth_generate)
+        return synth + ["--out", str(missing)], (
+            "not enough memory for 20 + 5 rows of 3 features (--benign/--attack/--dims)"
+        )
+    return {
+        "layer_dims_text": (
+            train + ["--out", str(missing), "--layer-dims", "6,x"],
+            "--layer-dims must be comma-separated ints, got '6,x'",
+        ),
+        "training_flags": (
+            train + ["--out", str(missing), "--lr", "0"],
+            "invalid training flags (--epochs/--batch-size/--lr/--weight-decay):"
+            " lr must be finite and positive, got 0.0",
+        ),
+        "synth_flags": (
+            ["synth", "--benign", "0", "--attack", "5", "--out", str(missing)],
+            "invalid synth flags (--benign/--attack/--dims/--shift): row counts must be positive",
+        ),
+        "synth_out": (synth + ["--out", str(missing)], f"cannot write {missing}: {enoent}"),
+        "train_out": (train + ["--out", str(missing)], f"cannot write {missing}: {enoent}"),
+        "evaluate_out_json": (
+            evaluate + ["--detectors", "hbos", "--out-json", str(missing)],
+            f"cannot write {missing}: {enoent}",
+        ),
+        "evaluate_out_table": (
+            evaluate + ["--detectors", "hbos", "--out-table", str(missing)],
+            f"cannot write {missing}: {enoent}",
+        ),
+        "no_detector": (evaluate + ["--detectors", ","], "--detectors names no detector, got ','"),
+        "unknown_detector": (
+            evaluate + ["--detectors", "hbos,bogus"],
+            "unknown detector 'bogus'; choose from ['doc', 'hbos', 'pca', 'svdd']",
+        ),
+        "repeated_detector": (
+            evaluate + ["--detectors", "pca,hbos,pca"], "--detectors names 'pca' more than once"
+        ),
+        "report_read": (["report", "--json", str(missing)], f"cannot read {missing}: {enoent}"),
+    }[site]
+
+
+class TestFlagErrorLines:
+    @pytest.mark.parametrize("site", FLAG_ERROR_SITES)
+    def test_each_site_exits_2_with_its_exact_line(
+        self, dataset_csv, tmp_path, monkeypatch, capsys, site
+    ):
+        argv, line = _flag_error(site, dataset_csv, tmp_path, monkeypatch)
+        out = ""
+        if site.startswith("evaluate_out"):
+            # evaluate prints its table before it writes the files
+            assert run(argv[:-2]) == 0
+            out = capsys.readouterr().out
+        assert run(argv) == 2
+        assert capsys.readouterr() == (out, f"error: {line}\n")
+        assert not (tmp_path / "no_such_dir").exists()
+
+
 class TestClosedStdout:
     """A reader that stops reading, as ``| head -1`` does, ends the
     command normally: exit 0, and nothing on stderr."""
