@@ -8,7 +8,6 @@ embeddings score how unusual new flows are.
 from .data import (
     LabeledDataset,
     ScalerParams,
-    SplitSpec,
     apply_scaler,
     fit_scaler,
     load_csv,
@@ -28,7 +27,6 @@ __all__ = [
     "LabeledDataset",
     "MlpParams",
     "ScalerParams",
-    "SplitSpec",
     "SvddConfig",
     "SvddModel",
     "apply_scaler",

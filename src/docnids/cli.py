@@ -34,18 +34,12 @@ REPORT_KEYS = ("detector", "protocol", "k", "contamination", "seed", "config", "
 STDOUT_PIPE_BYTES = 1 << 20
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _default_seed() -> int:
     text = os.environ.get("DOC_SEED", "0")
     try:
         return int(text)
     except ValueError:
-        raise CliError(f"DOC_SEED must be an integer, got {text!r}", EXIT_FLAG)
+        raise ValueError(f"DOC_SEED must be an integer, got {text!r}")
 
 
 def _parse_dims(text: str | None) -> list[int] | None:
@@ -54,7 +48,9 @@ def _parse_dims(text: str | None) -> list[int] | None:
     try:
         dims = [int(p) for p in text.split(",")]
     except ValueError:
-        raise CliError(f"--layer-dims must be comma-separated ints, got {text!r}", EXIT_FLAG)
+        raise ValueError(f"--layer-dims must be comma-separated ints, got {text!r}")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"--layer-dims needs two or more dims, each >= 1, got {text!r}")
     return dims
 
 
@@ -73,7 +69,7 @@ def _svdd_config(args) -> SvddConfig:
         config.validate()
     except ValueError as e:
         flags = "--epochs/--batch-size/--lr/--weight-decay"
-        raise CliError(f"invalid training flags ({flags}): {e}", EXIT_FLAG)
+        raise ValueError(f"invalid training flags ({flags}): {e}")
     return config
 
 
@@ -110,31 +106,32 @@ def cmd_synth(args) -> int:
     try:
         ds = data.synth_generate(args.benign, args.attack, args.dims, args.shift, args.seed)
     except ValueError as e:
-        raise CliError(f"invalid synth flags (--benign/--attack/--dims/--shift): {e}", EXIT_FLAG)
+        raise ValueError(f"invalid synth flags (--benign/--attack/--dims/--shift): {e}")
     except MemoryError:
-        raise CliError(
+        raise ValueError(
             f"not enough memory for {args.benign} + {args.attack} rows of {args.dims} features"
-            " (--benign/--attack/--dims)", EXIT_FLAG,
+            " (--benign/--attack/--dims)"
         )
     try:
         data.save_csv(ds, args.out)
     except OSError as e:
-        raise CliError(f"cannot write {args.out}: {e}", EXIT_FLAG)
+        raise ValueError(f"cannot write {args.out}: {e}")
     print(f"wrote {ds.n_benign} benign + {ds.n_attack} attack rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     config = _svdd_config(args)
-    spec = None if args.train_fraction is None else data.SplitSpec(args.train_fraction, args.seed)
+    if args.train_fraction is not None:
+        data.check_fraction(args.train_fraction)
     pipeline.check_contamination(args.contamination)
     hbos.check_bins(args.bins)
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
     benign = ds.rows[ds.labels == 0]
     if benign.shape[0] == 0:
         raise DataError("no benign rows to train on")
-    if spec is not None:
-        benign = ds.rows[data.split_benign_indices(ds.labels, spec)[0]]
+    if args.train_fraction is not None:
+        benign = ds.rows[data.split_benign_indices(ds.labels, args.train_fraction, args.seed)[0]]
     scaler = data.fit_scaler(benign)
     scaled = data.apply_scaler(scaler, benign)
     # a ValueError here is a flag error: main exits 2
@@ -144,7 +141,7 @@ def cmd_train(args) -> int:
     try:
         pipeline.save(model, args.out)
     except OSError as e:
-        raise CliError(f"cannot write {args.out}: {e}", EXIT_FLAG)
+        raise ValueError(f"cannot write {args.out}: {e}")
     final_loss = model.svdd.train_history[-1][1] if model.svdd.train_history else float("nan")
     print(f"trained on {len(scaled)} benign rows (seed {args.seed})")
     print(f"epochs: {config.epochs}  final loss: {final_loss:.6f}")
@@ -208,15 +205,12 @@ def _detector_names(text: str) -> list[str]:
     """The names in ``--detectors``: at least one, each known, none twice."""
     names = [n for n in text.split(",") if n]
     if not names:
-        raise CliError(f"--detectors names no detector, got {text!r}", EXIT_FLAG)
+        raise ValueError(f"--detectors names no detector, got {text!r}")
     for i, n in enumerate(names):
         if n not in evaluation.DETECTORS:
-            raise CliError(
-                f"unknown detector {n!r}; choose from {sorted(evaluation.DETECTORS)}",
-                EXIT_FLAG,
-            )
+            raise ValueError(f"unknown detector {n!r}; choose from {sorted(evaluation.DETECTORS)}")
         if n in names[:i]:
-            raise CliError(f"--detectors names {n!r} more than once", EXIT_FLAG)
+            raise ValueError(f"--detectors names {n!r} more than once")
     return names
 
 
@@ -225,7 +219,7 @@ def _write_text(path, text: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     except OSError as e:
-        raise CliError(f"cannot write {path}: {e}", EXIT_FLAG)
+        raise ValueError(f"cannot write {path}: {e}")
 
 
 def cmd_evaluate(args) -> int:
@@ -280,7 +274,7 @@ def cmd_report(args) -> int:
         with open(args.json, encoding="utf-8") as f:
             payload = json.load(f)
     except OSError as e:
-        raise CliError(f"cannot read {args.json}: {e}", EXIT_FLAG)
+        raise ValueError(f"cannot read {args.json}: {e}")
     except UnicodeDecodeError as e:
         raise DataError(f"{args.json}: not UTF-8 text ({e.reason})")
     except json.JSONDecodeError as e:
@@ -377,16 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         # end. Point stdout at /dev/null so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
     except ModelFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MODEL
     except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergedError as e:

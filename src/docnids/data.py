@@ -33,9 +33,6 @@ DEFAULT_DROP_COLUMNS = (
     "L4_DST_PORT",
 )
 
-# The fixture every quantitative test pins to.
-STANDARD_FIXTURE = dict(n_benign=5000, n_attack=500, dims=16, shift=0.6, seed=42)
-
 # Lines per ``read_chunks`` chunk. Each chunk pays a fixed cost in
 # ``score`` (the scaler, forward pass and histogram calls). Scoring the
 # 110k-row table to a file on a 2-vCPU host (12 child runs each) took a
@@ -68,18 +65,6 @@ class LabeledDataset:
 class ScalerParams:
     mins: np.ndarray
     maxs: np.ndarray
-
-
-@dataclass
-class SplitSpec:
-    benign_train_fraction: float = 0.7
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.benign_train_fraction < 1.0:
-            raise ValueError(
-                f"benign_train_fraction must be in (0, 1), got {self.benign_train_fraction}"
-            )
 
 
 def _parse_label(raw: str) -> int:
@@ -421,15 +406,24 @@ def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = Non
     return np.clip(scaled, 0.0, 1.0, out=out)
 
 
-def split_benign_indices(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded split of the benign row indices: the training side, and the
-    test side, which also holds every attack row."""
+def check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"benign_train_fraction must be in (0, 1), got {fraction}")
+
+
+def split_benign_indices(
+    labels: np.ndarray, fraction: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded split of the benign row indices: the training side, holding
+    ``fraction`` of them, and the test side, which also holds every
+    attack row."""
+    check_fraction(fraction)
     benign_idx = np.flatnonzero(labels == 0)
     if benign_idx.size == 0:
         raise DataError("dataset contains no benign rows")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(benign_idx)
-    n_train = int(round(spec.benign_train_fraction * benign_idx.size))
+    n_train = int(round(fraction * benign_idx.size))
     return order[:n_train], np.concatenate([order[n_train:], np.flatnonzero(labels == 1)])
 
 
@@ -468,7 +462,3 @@ def synth_generate(
     columns = [f"f{j}" for j in range(dims)]
     categories = ["Benign"] * n_benign + ["Synthetic"] * n_attack
     return LabeledDataset(columns=columns, rows=rows, labels=labels, categories=categories)
-
-
-def standard_fixture() -> LabeledDataset:
-    return synth_generate(**STANDARD_FIXTURE)

@@ -13,7 +13,6 @@ report is the JSON-ready document that ``evaluate --out-json`` writes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,8 +21,8 @@ from . import hbos, pipeline, svdd
 from .data import (
     LabeledDataset,
     ScalerParams,
-    SplitSpec,
     apply_scaler,
+    check_fraction,
     fit_scaler,
     split_benign_indices,
 )
@@ -33,44 +32,34 @@ from .svdd import SvddConfig, SvddModel
 METRIC_COLUMNS = ("accuracy", "f1", "auc", "dr", "far")
 
 
-@dataclass
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion(labels: np.ndarray, predictions: np.ndarray) -> ConfusionMatrix:
-    """Counts with attack (label 1) as the positive class."""
+def confusion(labels: np.ndarray, predictions: np.ndarray) -> dict:
+    """The counts ``tp``, ``fp``, ``tn`` and ``fn``, with attack (label 1)
+    as the positive class."""
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
     if labels.shape != predictions.shape:
         raise ValueError("labels and predictions have different lengths")
-    return ConfusionMatrix(
-        tp=int(((labels == 1) & (predictions == 1)).sum()),
-        fp=int(((labels == 0) & (predictions == 1)).sum()),
-        tn=int(((labels == 0) & (predictions == 0)).sum()),
-        fn=int(((labels == 1) & (predictions == 0)).sum()),
-    )
+    return {
+        "tp": int(((labels == 1) & (predictions == 1)).sum()),
+        "fp": int(((labels == 0) & (predictions == 1)).sum()),
+        "tn": int(((labels == 0) & (predictions == 0)).sum()),
+        "fn": int(((labels == 1) & (predictions == 0)).sum()),
+    }
 
 
-def metrics(cm: ConfusionMatrix) -> dict:
-    """Accuracy, detection rate, false alarm rate, precision, and F1,
-    all as percentages. Zero denominators yield 0 plus a flag rather
-    than an error."""
+def metrics(cm: dict) -> dict:
+    """Accuracy, detection rate, false alarm rate, precision, and F1 of
+    ``confusion``'s counts, all as percentages. Zero denominators yield 0
+    plus a flag rather than an error."""
 
     def pct(num: int, den: int) -> tuple[float, bool]:
         return (100.0 * num / den, False) if den else (0.0, True)
 
-    accuracy, acc_undef = pct(cm.tp + cm.tn, cm.total)
-    dr, dr_undef = pct(cm.tp, cm.tp + cm.fn)
-    far, far_undef = pct(cm.fp, cm.fp + cm.tn)
-    precision, prec_undef = pct(cm.tp, cm.tp + cm.fp)
+    tp, fp, tn, fn = cm["tp"], cm["fp"], cm["tn"], cm["fn"]
+    accuracy, acc_undef = pct(tp + tn, tp + fp + tn + fn)
+    dr, dr_undef = pct(tp, tp + fn)
+    far, far_undef = pct(fp, fp + tn)
+    precision, prec_undef = pct(tp, tp + fp)
     if dr + precision > 0:
         f1, f1_undef = 2.0 * dr * precision / (dr + precision), False
     else:
@@ -216,10 +205,7 @@ def _evaluate_fold(
         train_scores, test_scores = DETECTORS[name](train_in, test_in, network, bins)
         threshold = pipeline.threshold_from_scores(train_scores, contamination)
         cm = confusion(test_y, (test_scores > threshold).astype(np.int64))
-        result = {
-            "fold": fold, "tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn,
-            "auc": roc_auc(test_y, test_scores), **metrics(cm),
-        }
+        result = {"fold": fold, **cm, "auc": roc_auc(test_y, test_scores), **metrics(cm)}
         shared = scale_s + scaled_at - start
         if uses_network:
             shared += train_s + embedded_at - scaled_at
@@ -254,7 +240,7 @@ def check_settings(protocol: str, k: int, train_fraction: float, contamination: 
     if protocol == "kfold" and k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if protocol == "holdout":
-        SplitSpec(train_fraction)
+        check_fraction(train_fraction)
     elif protocol != "kfold":
         raise ValueError(f"unknown protocol {protocol!r}")
 
@@ -308,7 +294,7 @@ def evaluate(
             splits.append((train_idx, np.concatenate([test_benign, attack_idx])))
     else:
         k = 1
-        splits = [split_benign_indices(ds.labels, SplitSpec(train_fraction, seed))]
+        splits = [split_benign_indices(ds.labels, train_fraction, seed)]
 
     scalers, seconds = [], []
     for train_idx, _ in splits:

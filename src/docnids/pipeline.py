@@ -8,6 +8,7 @@ training rows' scores; ties classify benign.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -152,8 +153,9 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def f64(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
+    def f64(self, *shape: int) -> np.ndarray:
+        # Python ints: a product of file sizes must not wrap around as int64 can
+        count = math.prod(shape)
         arr = np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
         return arr.reshape(shape)
 
@@ -179,7 +181,7 @@ def load(path) -> DocModel:
     dims = list(r.unpack(f"<{ndims}I"))
     if ndims < 2 or min(dims) < 1:
         raise ModelFormatError(f"invalid layer dims {dims}: need at least two, each >= 1")
-    layers = [r.f64((dims[i + 1], dims[i])) for i in range(ndims - 1)]
+    layers = [r.f64(dims[i + 1], dims[i]) for i in range(ndims - 1)]
     center = r.f64(dims[-1])
     (nf,) = r.unpack("<I")
     if nf != dims[0]:
@@ -193,7 +195,7 @@ def load(path) -> DocModel:
         raise ModelFormatError(f"histogram bin count must be >= 1, got {k}")
     lo = r.f64(d)
     hi = r.f64(d)
-    heights = r.f64((d, k))
+    heights = r.f64(d, k)
     threshold, contamination = r.unpack("<dd")
     if r.pos != len(r.buf):
         raise ModelFormatError("trailing bytes after model payload")

@@ -18,6 +18,9 @@ from . import backend, nn, workers
 from .errors import TrainingDivergedError
 from .nn import Activation, MlpParams
 
+# How far ``init_center`` pushes a near-zero center coordinate from zero.
+CENTER_EPS = 0.1
+
 
 @dataclass
 class SvddConfig:
@@ -27,7 +30,6 @@ class SvddConfig:
     lr: float = 1e-3
     weight_decay: float = 1e-4
     seed: int = 0
-    center_eps: float = 0.1
     activation: Activation = Activation.LEAKY_RECTIFIER
 
     def validate(self) -> None:
@@ -39,8 +41,6 @@ class SvddConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.center_eps <= 0:
-            raise ValueError(f"center_eps must be positive, got {self.center_eps}")
 
     def resolve_dims(self, input_dim: int) -> list[int]:
         if self.layer_dims is None:
@@ -59,16 +59,16 @@ class SvddModel:
     train_history: list[tuple[int, float]] = field(default_factory=list)
 
 
-def init_center(params: MlpParams, train: np.ndarray, eps: float = 0.1) -> np.ndarray:
+def init_center(params: MlpParams, train: np.ndarray) -> np.ndarray:
     """Mean of the initial embeddings, with near-zero coordinates pushed
-    to +-eps (sign-preserving, +eps at exactly zero) so the network
-    cannot trivially map everything onto the center."""
+    to +-CENTER_EPS (sign-preserving, +CENTER_EPS at exactly zero) so the
+    network cannot trivially map everything onto the center."""
     train = np.asarray(train, dtype=np.float64)
     if train.size == 0:
         raise ValueError("training set is empty")
     c = nn.forward_batch(params, train).mean(axis=0)
-    small = np.abs(c) < eps
-    c[small] = np.where(c[small] >= 0.0, eps, -eps)
+    small = np.abs(c) < CENTER_EPS
+    c[small] = np.where(c[small] >= 0.0, CENTER_EPS, -CENTER_EPS)
     return c
 
 
@@ -146,7 +146,7 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     params = nn.init_params(config.resolve_dims(d), config.seed, config.activation)
     # Before any fork: a worker's first large BLAS product would start the
     # BLAS library's threads in it, to spin while both processes train.
-    centers = np.stack([init_center(params, x, config.center_eps) for x in stack])
+    centers = np.stack([init_center(params, x) for x in stack])
 
     def train_range(a: int, b: int):
         return _sgd(config, params, stack[a:b], centers[a:b])

@@ -6,9 +6,13 @@ import pytest
 from docnids import data, svdd
 
 
+# The fixture every quantitative test pins to.
+STANDARD_FIXTURE = dict(n_benign=5000, n_attack=500, dims=16, shift=0.6, seed=42)
+
+
 @pytest.fixture(scope="session")
 def fixture_ds():
-    return data.standard_fixture()
+    return data.synth_generate(**STANDARD_FIXTURE)
 
 
 @pytest.fixture(scope="session")

@@ -96,7 +96,7 @@ def test_criterion_4_training_contraction(fixture_scaled):
     start = time.perf_counter()
     cfg = SvddConfig(seed=0)
     initial_params = nn.init_params(cfg.resolve_dims(scaled.shape[1]), cfg.seed, cfg.activation)
-    center = svdd.init_center(initial_params, scaled, cfg.center_eps)
+    center = svdd.init_center(initial_params, scaled)
     d_init = svdd.distances_sq(nn.forward_batch(initial_params, scaled), center).mean()
     (model,) = svdd.train(cfg, scaled[None])
     d_final = svdd.distances_sq(nn.forward_batch(model.params, scaled), model.center).mean()
@@ -143,11 +143,11 @@ def test_criterion_6_end_to_end_detection(fixture_ds):
 
 def test_criterion_7_metric_oracles():
     cm = evaluation.confusion(np.array([1, 1, 0, 0]), np.array([1, 0, 0, 1]))
-    assert (cm.tp, cm.fn, cm.tn, cm.fp) == (1, 1, 1, 1)
-    m = evaluation.metrics(evaluation.ConfusionMatrix(tp=50, fp=50, tn=0, fn=0))
+    assert (cm["tp"], cm["fn"], cm["tn"], cm["fp"]) == (1, 1, 1, 1)
+    m = evaluation.metrics({"tp": 50, "fp": 50, "tn": 0, "fn": 0})
     assert m["f1"] == pytest.approx(2 * 100 * 50 / 150)
-    assert evaluation.metrics(evaluation.ConfusionMatrix(90, 0, 0, 10))["dr"] == 90.0
-    assert evaluation.metrics(evaluation.ConfusionMatrix(0, 2, 98, 0))["far"] == 2.0
+    assert evaluation.metrics({"tp": 90, "fp": 0, "tn": 0, "fn": 10})["dr"] == 90.0
+    assert evaluation.metrics({"tp": 0, "fp": 2, "tn": 98, "fn": 0})["far"] == 2.0
     assert evaluation.roc_auc(
         np.array([1, 0, 1, 0]), np.array([0.9, 0.8, 0.7, 0.1])
     ) == pytest.approx(0.75)

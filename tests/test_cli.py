@@ -184,6 +184,12 @@ EARLY_FLAG_ERRORS = {
     ),
     "evaluate --bins 0": "bin count must be >= 1, got 0",
     "evaluate --contamination 1": "contamination must be in (0, 1), got 1.0",
+    "train --layer-dims 6,0,4": "--layer-dims needs two or more dims, each >= 1, got '6,0,4'",
+    "train --layer-dims 6": "--layer-dims needs two or more dims, each >= 1, got '6'",
+    "evaluate --detectors hbos --layer-dims 6,0,4": (
+        "--layer-dims needs two or more dims, each >= 1, got '6,0,4'"
+    ),
+    "evaluate --layer-dims 6": "--layer-dims needs two or more dims, each >= 1, got '6'",
 }
 
 
@@ -230,7 +236,7 @@ class TestTrain:
         ]
         assert run(argv) == 0
         ds = data.load_csv(dataset_csv)
-        train_idx, _ = data.split_benign_indices(ds.labels, data.SplitSpec(0.6, 4))
+        train_idx, _ = data.split_benign_indices(ds.labels, 0.6, 4)
         assert f"trained on {len(train_idx)} benign rows" in capsys.readouterr().out
         rows = ds.rows[train_idx]
         scaler = data.fit_scaler(rows)
@@ -551,9 +557,13 @@ class TestScore:
         raw = model_file.read_bytes()[:-4]
         version_1 = raw[:4] + struct.pack("<H", 1) + raw[6:]
         version_1 += struct.pack("<I", zlib.crc32(version_1))
+        # two layer dims whose product wraps around in int64
+        huge = raw[:40] + struct.pack("<3I", 2, 4_000_000_000, 4_000_000_000) + bytes(64)
+        huge += struct.pack("<I", zlib.crc32(huge))
         cases = {
             b"garbage here": "not a DOC model file",
             version_1: "unsupported model format version 1",
+            huge: "model file is truncated",
         }
         bad = tmp_path / "bad.doc"
         for content, message in cases.items():

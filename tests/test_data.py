@@ -879,35 +879,35 @@ class TestSplitBenign:
 
     def test_counts(self):
         labels = self._labels(10, 3)
-        train, test = data.split_benign_indices(labels, data.SplitSpec(0.7, seed=1))
+        train, test = data.split_benign_indices(labels, 0.7, seed=1)
         assert len(train) == 7
         assert (labels[test] == 0).sum() == 3 and (labels[test] == 1).sum() == 3
 
     def test_train_has_no_attacks(self):
         labels = self._labels(10, 3)
-        train, test = data.split_benign_indices(labels, data.SplitSpec(0.7, seed=1))
+        train, test = data.split_benign_indices(labels, 0.7, seed=1)
         assert (labels[train] == 0).all()
         assert set(np.flatnonzero(labels == 1)) <= set(test)
 
     def test_partition_of_benign(self):
         labels = self._labels(11, 2)
-        train, test = data.split_benign_indices(labels, data.SplitSpec(0.6, seed=4))
+        train, test = data.split_benign_indices(labels, 0.6, seed=4)
         recovered = np.concatenate([train, test[labels[test] == 0]])
         assert sorted(recovered) == list(np.flatnonzero(labels == 0))
 
     def test_deterministic(self):
         labels = self._labels(10, 3)
-        t1 = data.split_benign_indices(labels, data.SplitSpec(0.7, seed=5))
-        t2 = data.split_benign_indices(labels, data.SplitSpec(0.7, seed=5))
+        t1 = data.split_benign_indices(labels, 0.7, seed=5)
+        t2 = data.split_benign_indices(labels, 0.7, seed=5)
         assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
     def test_rejects_no_benign(self):
         with pytest.raises(DataError):
-            data.split_benign_indices(self._labels(0, 3), data.SplitSpec(0.7, seed=0))
+            data.split_benign_indices(self._labels(0, 3), 0.7, seed=0)
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            data.SplitSpec(1.0, seed=0)
+            data.split_benign_indices(self._labels(10, 3), 1.0, seed=0)
 
 
 class TestSynthGenerate:

@@ -10,7 +10,6 @@ from docnids import data, evaluation, nn, pipeline, svdd
 from docnids.errors import DataError
 from docnids.evaluation import (
     DETECTORS,
-    ConfusionMatrix,
     benign_folds,
     confusion,
     evaluate,
@@ -50,15 +49,15 @@ def trapezoid_auc(labels, scores):
 class TestConfusion:
     def test_enumeration(self):
         cm = confusion(np.array([1, 1, 0, 0]), np.array([1, 0, 0, 1]))
-        assert (cm.tp, cm.fn, cm.tn, cm.fp) == (1, 1, 1, 1)
+        assert (cm["tp"], cm["fn"], cm["tn"], cm["fp"]) == (1, 1, 1, 1)
 
     def test_all_correct(self):
         cm = confusion(np.array([1, 0]), np.array([1, 0]))
-        assert cm.fp == 0 and cm.fn == 0
+        assert cm["fp"] == 0 and cm["fn"] == 0
 
     def test_all_predicted_positive(self):
         cm = confusion(np.array([1, 0, 0]), np.array([1, 1, 1]))
-        assert cm.tn == 0 and cm.fp == 2
+        assert cm["tn"] == 0 and cm["fp"] == 2
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -67,21 +66,21 @@ class TestConfusion:
 
 class TestMetrics:
     def test_dr(self):
-        m = metrics(ConfusionMatrix(tp=90, fp=0, tn=0, fn=10))
+        m = metrics({"tp": 90, "fp": 0, "tn": 0, "fn": 10})
         assert m["dr"] == pytest.approx(90.0)
 
     def test_far(self):
-        m = metrics(ConfusionMatrix(tp=0, fp=2, tn=98, fn=0))
+        m = metrics({"tp": 0, "fp": 2, "tn": 98, "fn": 0})
         assert m["far"] == pytest.approx(2.0)
 
     def test_f1_hand_value(self):
-        m = metrics(ConfusionMatrix(tp=50, fp=50, tn=0, fn=0))
+        m = metrics({"tp": 50, "fp": 50, "tn": 0, "fn": 0})
         assert m["precision"] == pytest.approx(50.0)
         assert m["dr"] == pytest.approx(100.0)
         assert m["f1"] == pytest.approx(2 * 100 * 50 / 150)
 
     def test_zero_denominators_flagged_not_crashing(self):
-        m = metrics(ConfusionMatrix(tp=0, fp=0, tn=5, fn=0))
+        m = metrics({"tp": 0, "fp": 0, "tn": 5, "fn": 0})
         assert m["dr"] == 0.0
         assert "dr" in m["undefined"]
 
@@ -274,7 +273,7 @@ class TestNetworkDetectorsMatchTheirScorers:
 
     @pytest.fixture(scope="class")
     def split(self, small_ds):
-        train_idx, test_idx = data.split_benign_indices(small_ds.labels, data.SplitSpec(0.7, 3))
+        train_idx, test_idx = data.split_benign_indices(small_ds.labels, 0.7, 3)
         train_x = small_ds.rows[train_idx]
         scaler = data.fit_scaler(train_x)
         test = data.LabeledDataset(small_ds.columns, small_ds.rows[test_idx], small_ds.labels[test_idx])
@@ -284,7 +283,9 @@ class TestNetworkDetectorsMatchTheirScorers:
         (report,) = evaluate(small_ds, [name], self.config, **self.kwargs)
         (fold,) = report["folds"]
         cm = confusion(test.labels, (scores > threshold).astype(np.int64))
-        assert (fold["tp"], fold["fp"], fold["tn"], fold["fn"]) == (cm.tp, cm.fp, cm.tn, cm.fn)
+        assert (fold["tp"], fold["fp"], fold["tn"], fold["fn"]) == (
+            cm["tp"], cm["fp"], cm["tn"], cm["fn"]
+        )
         assert fold["auc"] == roc_auc(test.labels, scores)
 
     def test_doc_is_pipeline_fit_and_score_batch(self, small_ds, split):

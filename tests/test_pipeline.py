@@ -160,6 +160,21 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             pipeline.load(path)
 
+    def test_sizes_past_int64_are_truncated(self, small_model, tmp_path):
+        import struct
+        import zlib
+
+        model, _ = small_model
+        path = tmp_path / "m.doc"
+        pipeline.save(model, path)
+        # magic, version, schema hash and activation, then two dims whose
+        # product of 1.6e19 weights wraps around in int64
+        raw = path.read_bytes()[:40] + struct.pack("<3I", 2, 4_000_000_000, 4_000_000_000)
+        raw += bytes(64)
+        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+        with pytest.raises(ModelFormatError, match="^model file is truncated$"):
+            pipeline.load(path)
+
     @pytest.mark.parametrize("version", [1, 99])
     def test_version_mismatch(self, small_model, tmp_path, version):
         import struct

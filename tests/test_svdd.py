@@ -26,15 +26,15 @@ def objective(p, batch, c, weight_decay):
 
 class TestInitCenter:
     def test_mean_of_embeddings(self):
-        c = svdd.init_center(identity_net(2), np.array([[1.0, 0.0], [0.0, 1.0]]), eps=1e-3)
+        c = svdd.init_center(identity_net(2), np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert np.allclose(c, [0.5, 0.5])
 
     def test_eps_substitution_at_zero(self):
         p = MlpParams(
             layers=[np.zeros((3, 2))], activation=Activation.IDENTITY, layer_dims=[2, 3]
         )
-        c = svdd.init_center(p, np.ones((4, 2)), eps=0.1)
-        assert np.allclose(c, [0.1, 0.1, 0.1])
+        c = svdd.init_center(p, np.ones((4, 2)))
+        assert np.allclose(c, [svdd.CENTER_EPS] * 3)
 
     def test_sign_preserving_eps(self):
         p = MlpParams(
@@ -42,18 +42,17 @@ class TestInitCenter:
             activation=Activation.IDENTITY,
             layer_dims=[1, 2],
         )
-        c = svdd.init_center(p, np.ones((3, 1)), eps=0.05)
-        assert np.allclose(c, [0.05, -0.05])
+        c = svdd.init_center(p, np.ones((3, 1)))
+        assert np.allclose(c, [svdd.CENTER_EPS, -svdd.CENTER_EPS])
 
     def test_matches_independent_column_means(self, rng):
         p = nn.init_params([4, 6, 3], seed=5)
         x = rng.uniform(size=(20, 4))
         z = np.stack([nn.forward_batch(p, row[None])[0] for row in x])
         expected = z.mean(axis=0)
-        expected[np.abs(expected) < 0.01] = np.where(
-            expected[np.abs(expected) < 0.01] >= 0, 0.01, -0.01
-        )
-        assert np.allclose(svdd.init_center(p, x, eps=0.01), expected)
+        eps = svdd.CENTER_EPS
+        expected[np.abs(expected) < eps] = np.where(expected[np.abs(expected) < eps] >= 0, eps, -eps)
+        assert np.allclose(svdd.init_center(p, x), expected)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -121,7 +120,7 @@ class TestTrain:
         x = np.random.default_rng(1).uniform(size=(50, 4))
         cfg = SvddConfig(layer_dims=[4, 8, 2], epochs=3, batch_size=16, seed=7)
         p0 = nn.init_params([4, 8, 2], seed=7)
-        expected_c = svdd.init_center(p0, x, cfg.center_eps)
+        expected_c = svdd.init_center(p0, x)
         (m,) = svdd.train(cfg, x[None])
         assert np.array_equal(m.center, expected_c)
 
@@ -200,7 +199,7 @@ def reference_train(config, x):
     on its own to a new array, ``w - lr * (g + weight_decay * w)``, and the
     loss summed in its own code."""
     params = nn.init_params(config.resolve_dims(x.shape[1]), config.seed, config.activation)
-    c = svdd.init_center(params, x, config.center_eps)
+    c = svdd.init_center(params, x)
     rng = np.random.default_rng(config.seed + 1)
     history = []
     for epoch in range(config.epochs):
@@ -240,7 +239,7 @@ def assert_members_trained_alone(config, stack, models):
         assert_same_model(model, alone.params, alone.center, alone.train_history)
         params, history = reference_train(config, x)
         initial = nn.init_params(config.resolve_dims(x.shape[1]), config.seed, config.activation)
-        assert_same_model(model, params, svdd.init_center(initial, x, config.center_eps), history)
+        assert_same_model(model, params, svdd.init_center(initial, x), history)
 
 
 class TestStackedTraining:
