@@ -74,15 +74,15 @@ def _svdd_config(args) -> SvddConfig:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
+    p.add_argument("--epochs", type=int, default=SvddConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=SvddConfig.batch_size)
+    p.add_argument("--lr", type=float, default=SvddConfig.lr)
+    p.add_argument("--weight-decay", type=float, default=SvddConfig.weight_decay)
     p.add_argument("--layer-dims", default=None, help="comma-separated, e.g. 16,32,8")
     p.add_argument(
         "--activation",
         choices=[a.value for a in Activation],
-        default=Activation.LEAKY_RECTIFIER.value,
+        default=SvddConfig.activation.value,
     )
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--contamination", type=float, default=0.1)
@@ -132,18 +132,16 @@ def cmd_train(args) -> int:
         raise DataError("no benign rows to train on")
     if args.train_fraction is not None:
         benign = ds.rows[data.split_benign_indices(ds.labels, args.train_fraction, args.seed)[0]]
-    scaler = data.fit_scaler(benign)
-    scaled = data.apply_scaler(scaler, benign)
     # a ValueError here is a flag error: main exits 2
     model = pipeline.fit(
-        config, scaled, scaler, ds.columns, bins=args.bins, contamination=args.contamination
+        config, benign, ds.columns, bins=args.bins, contamination=args.contamination
     )
     try:
         pipeline.save(model, args.out)
     except OSError as e:
         raise ValueError(f"cannot write {args.out}: {e}")
     final_loss = model.svdd.train_history[-1][1] if model.svdd.train_history else float("nan")
-    print(f"trained on {len(scaled)} benign rows (seed {args.seed})")
+    print(f"trained on {len(benign)} benign rows (seed {args.seed})")
     print(f"epochs: {config.epochs}  final loss: {final_loss:.6f}")
     print(f"threshold: {model.threshold:.6f}  contamination: {args.contamination}")
     print(f"model written to {args.out}")
@@ -229,30 +227,20 @@ def cmd_evaluate(args) -> int:
         args.protocol, args.k, args.train_fraction, args.contamination, args.bins
     )
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
-    if ds.n_attack == 0 or ds.n_benign == 0:
-        raise DataError("evaluation needs both benign and attack rows")
-    echo = {
-        # checked against the data before any fold, whichever detectors run
-        "layer_dims": config.resolve_dims(ds.rows.shape[1]),
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "lr": config.lr,
-        "weight_decay": config.weight_decay,
-        "bins": args.bins,
-        "contamination": args.contamination,
-        "seed": args.seed,
-        "protocol": args.protocol,
-        "detectors": names,
-        "input": str(args.input),
-    }
-
     reports = evaluation.evaluate(
         ds, names, config, bins=args.bins, protocol=args.protocol, k=args.k,
-        train_fraction=args.train_fraction, contamination=args.contamination,
-        seed=args.seed, config_echo=echo,
+        train_fraction=args.train_fraction, contamination=args.contamination, seed=args.seed,
     )
+    for report in reports:
+        report["config"]["input"] = str(args.input)
 
+    # both files are written before anything is printed, so a write that
+    # fails leaves stdout empty
     table = evaluation.render_table(reports)
+    if args.out_json:
+        _write_text(args.out_json, json.dumps({"reports": reports}, indent=2, sort_keys=True))
+    if args.out_table:
+        _write_text(args.out_table, table + "\n")
     print(table)
     print(f"seed: {args.seed}")
     print(
@@ -261,10 +249,8 @@ def cmd_evaluate(args) -> int:
         "benchmark and results on external datasets will differ from reported values."
     )
     if args.out_json:
-        _write_text(args.out_json, json.dumps({"reports": reports}, indent=2, sort_keys=True))
         print(f"json report written to {args.out_json}")
     if args.out_table:
-        _write_text(args.out_table, table + "\n")
         print(f"text table written to {args.out_table}")
     return EXIT_OK
 
@@ -357,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as e:
             return EXIT_FLAG if e.code not in (0, None) else EXIT_OK
+        # synth, train and evaluate take a seed; checked before any read
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed (or DOC_SEED) must be >= 0, got {args.seed}")
         code = args.func(args)
         # Flushed here, a closed pipe raises below and not at exit.
         sys.stdout.flush()
@@ -377,6 +366,10 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as e:
+        # numpy's message names the array it could not allocate
+        print(f"error: not enough memory ({str(e) or 'allocation failed'})", file=sys.stderr)
+        return EXIT_FLAG
     except TrainingDivergedError as e:
         print(f"error: training diverged ({e}); try a lower --lr", file=sys.stderr)
         return EXIT_FLAG

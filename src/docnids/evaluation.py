@@ -49,39 +49,25 @@ def confusion(labels: np.ndarray, predictions: np.ndarray) -> dict:
 
 def metrics(cm: dict) -> dict:
     """Accuracy, detection rate, false alarm rate, precision, and F1 of
-    ``confusion``'s counts, all as percentages. Zero denominators yield 0
-    plus a flag rather than an error."""
-
-    def pct(num: int, den: int) -> tuple[float, bool]:
-        return (100.0 * num / den, False) if den else (0.0, True)
-
+    ``confusion``'s counts, all as percentages. A zero denominator yields
+    0 and the metric's name in ``undefined`` rather than an error."""
     tp, fp, tn, fn = cm["tp"], cm["fp"], cm["tn"], cm["fn"]
-    accuracy, acc_undef = pct(tp + tn, tp + fp + tn + fn)
-    dr, dr_undef = pct(tp, tp + fn)
-    far, far_undef = pct(fp, fp + tn)
-    precision, prec_undef = pct(tp, tp + fp)
-    if dr + precision > 0:
-        f1, f1_undef = 2.0 * dr * precision / (dr + precision), False
-    else:
-        f1, f1_undef = 0.0, True
-    return {
-        "accuracy": accuracy,
-        "dr": dr,
-        "far": far,
-        "precision": precision,
-        "f1": f1,
-        "undefined": sorted(
-            name
-            for name, undef in [
-                ("accuracy", acc_undef),
-                ("dr", dr_undef),
-                ("far", far_undef),
-                ("precision", prec_undef),
-                ("f1", f1_undef),
-            ]
-            if undef
-        ),
+    ratios = {  # name: (numerator, denominator)
+        "accuracy": (tp + tn, tp + fp + tn + fn),
+        "dr": (tp, tp + fn),
+        "far": (fp, fp + tn),
+        "precision": (tp, tp + fp),
     }
+    out = {name: 100.0 * num / den if den else 0.0 for name, (num, den) in ratios.items()}
+    undefined = [name for name, (_, den) in ratios.items() if not den]
+    dr, precision = out["dr"], out["precision"]
+    if dr + precision > 0:
+        out["f1"] = 2.0 * dr * precision / (dr + precision)
+    else:
+        out["f1"] = 0.0
+        undefined.append("f1")
+    out["undefined"] = sorted(undefined)
+    return out
 
 
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -255,12 +241,12 @@ def evaluate(
     train_fraction: float = 0.7,
     contamination: float = 0.1,
     seed: int = 0,
-    config_echo: dict | None = None,
 ) -> list[dict]:
     """Evaluate the named detectors under one protocol; one report per
     name, in the order given. A report is the JSON-ready document that
-    ``evaluate --out-json`` writes: the run's settings, a ``summary`` of
-    each table metric's mean and stddev, and one entry per fold.
+    ``evaluate --out-json`` writes, less the ``input`` path of its
+    ``config``: the run's settings, a ``summary`` of each table metric's
+    mean and stddev, and one entry per fold.
 
     ``kfold``: benign rows are partitioned into k seeded folds; each fold
     trains on the other k-1 benign folds and tests on its own benign fold
@@ -280,18 +266,24 @@ def evaluate(
     its members, however many cores trained them."""
     # checked before any fold, whichever detectors run
     check_settings(protocol, k, train_fraction, contamination, bins)
-    if ds.n_attack == 0:
-        raise DataError("dataset contains no attack rows")
+    if ds.n_attack == 0 or ds.n_benign == 0:
+        raise DataError("evaluation needs both benign and attack rows")
     config = config or SvddConfig()
+    echo = {
+        # resolving the dims checks them against the data
+        "layer_dims": config.resolve_dims(ds.rows.shape[1]), "epochs": config.epochs,
+        "batch_size": config.batch_size, "lr": config.lr, "weight_decay": config.weight_decay,
+        "bins": bins, "contamination": contamination, "seed": seed, "protocol": protocol,
+        "detectors": list(detectors),
+    }
     if protocol == "kfold":
         folds = benign_folds(ds.labels, k, seed)
         attack_idx = np.flatnonzero(ds.labels == 1)
-        splits = []
-        for i, test_benign in enumerate(folds):
-            if test_benign.size == 0:
-                raise DataError(f"fold {i} has zero benign test rows")
-            train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-            splits.append((train_idx, np.concatenate([test_benign, attack_idx])))
+        # benign_folds gives each of its k >= 2 folds at least one row
+        splits = [
+            (np.concatenate(folds[:i] + folds[i + 1 :]), np.concatenate([test_benign, attack_idx]))
+            for i, test_benign in enumerate(folds)
+        ]
     else:
         k = 1
         splits = [split_benign_indices(ds.labels, train_fraction, seed)]
@@ -325,7 +317,7 @@ def evaluate(
         folds = [fold[j][0] for fold in per_fold]
         reports.append({
             "detector": name, "protocol": protocol, "k": k, "contamination": contamination,
-            "seed": seed, "config": config_echo or {},
+            "seed": seed, "config": dict(echo),
             "wall_seconds": sum(fold[j][1] for fold in per_fold),
             "summary": _summary(folds), "folds": folds,
         })

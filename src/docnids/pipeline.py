@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hbos, svdd
-from .data import ScalerParams, apply_scaler
+from .data import ScalerParams, apply_scaler, fit_scaler
 from .errors import ModelFormatError, SchemaMismatchError
 from .hbos import HistogramSet
 from .nn import Activation, MlpParams
@@ -54,22 +54,21 @@ def threshold_from_scores(scores: np.ndarray, contamination: float) -> float:
 
 def fit(
     config: SvddConfig,
-    benign_scaled: np.ndarray,
-    scaler: ScalerParams,
+    benign: np.ndarray,
     columns: list[str],
     bins: int = 10,
     contamination: float = 0.1,
 ) -> DocModel:
-    """Fit the full detector on scaled benign rows.
-
-    ``benign_scaled`` must already be min-max scaled to [0, 1] with the
-    supplied scaler, and must contain benign rows only. The histograms
-    and the threshold both come from the rows' embeddings.
-    """
+    """Fit the full detector on raw benign feature rows, as ``score_batch``
+    takes them: min-max scale them with a scaler fitted on them, train the
+    network on the scaled rows, and fit the histograms and the threshold
+    on the rows' embeddings."""
     check_contamination(contamination)
     hbos.check_bins(bins)
-    (model,) = svdd.train(config, np.asarray(benign_scaled)[None])
-    z = svdd.embed_batch(model, benign_scaled)
+    scaler = fit_scaler(benign)
+    scaled = apply_scaler(scaler, benign)
+    (model,) = svdd.train(config, scaled[None])
+    z = svdd.embed_batch(model, scaled)
     hist = hbos.fit_histograms(z, bins)
     scores = hbos.hbos_score_batch(hist, z)
     if not np.all(np.isfinite(scores)):

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from docnids import cli, data, evaluation, pipeline
+from docnids import cli, data, evaluation, hbos, nn, pipeline
 from docnids.errors import DataError
 from docnids.hbos import HistogramSet
 from docnids.nn import MlpParams
@@ -190,6 +190,8 @@ EARLY_FLAG_ERRORS = {
         "--layer-dims needs two or more dims, each >= 1, got '6,0,4'"
     ),
     "evaluate --layer-dims 6": "--layer-dims needs two or more dims, each >= 1, got '6'",
+    "train --seed -1": "--seed (or DOC_SEED) must be >= 0, got -1",
+    "evaluate --seed -1": "--seed (or DOC_SEED) must be >= 0, got -1",
 }
 
 
@@ -238,13 +240,9 @@ class TestTrain:
         ds = data.load_csv(dataset_csv)
         train_idx, _ = data.split_benign_indices(ds.labels, 0.6, 4)
         assert f"trained on {len(train_idx)} benign rows" in capsys.readouterr().out
-        rows = ds.rows[train_idx]
-        scaler = data.fit_scaler(rows)
         config = SvddConfig(layer_dims=[6, 10, 4], epochs=3, seed=4)
         expected = tmp_path / "expected.doc"
-        pipeline.save(
-            pipeline.fit(config, data.apply_scaler(scaler, rows), scaler, ds.columns), expected
-        )
+        pipeline.save(pipeline.fit(config, ds.rows[train_idx], ds.columns), expected)
         assert model_path.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("fraction", ["0", "1.5"])
@@ -702,6 +700,24 @@ class TestEvaluate:
         flag_names = "--epochs/--batch-size/--lr/--weight-decay"
         assert captured.err == f"error: invalid training flags ({flag_names}): {message}\n"
 
+    @pytest.mark.parametrize("protocol", ["kfold", "holdout"])
+    def test_reports_hold_the_config_evaluate_builds(self, dataset_csv, tmp_path, protocol):
+        out_json = tmp_path / "report.json"
+        argv = [
+            "evaluate", "--input", str(dataset_csv), "--detectors", "svdd,pca",
+            "--k", "3", "--epochs", "2", "--lr", "0.01", "--bins", "7",
+            "--contamination", "0.2", "--seed", "3", "--protocol", protocol,
+            "--out-json", str(out_json),
+        ]
+        assert run(argv) == 0
+        config = SvddConfig(epochs=2, lr=0.01, seed=3)
+        reports = evaluation.evaluate(
+            data.load_csv(dataset_csv), ["svdd", "pca"], config, bins=7, protocol=protocol,
+            k=3, contamination=0.2, seed=3,
+        )
+        for written, built in zip(json.loads(out_json.read_text())["reports"], reports):
+            assert written["config"] == {**built["config"], "input": str(dataset_csv)}
+
     def test_single_class_exits_3(self, tmp_path):
         only_benign = tmp_path / "benign.csv"
         only_benign.write_text("x,Label\n" + "".join(f"{v},0\n" for v in range(20)))
@@ -885,6 +901,31 @@ class TestErrorExits:
         assert run(argv) == 130
         assert capsys.readouterr().err == "error: interrupted\n"
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "module, name, message",
+        [
+            (hbos, "fit_histograms", "Unable to allocate 56.8 PiB for an array"),
+            (nn, "init_params", "Unable to allocate 42.6 PiB for an array"),
+            (nn, "init_params", ""),
+        ],
+        ids=["histograms", "network", "no_message"],
+    )
+    def test_running_out_of_memory_exits_2(
+        self, dataset_csv, tmp_path, monkeypatch, capsys, command, module, name, message
+    ):
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, name, out_of_memory)
+        argv = _argv(command, dataset_csv, tmp_path)
+        if command == "evaluate":
+            argv += ["--detectors", "doc"]  # the network and the histograms
+        assert run(argv) == 2
+        detail = message or "allocation failed"
+        assert capsys.readouterr() == ("", f"error: not enough memory ({detail})\n")
+        assert not (tmp_path / "m.doc").exists()
+
     @pytest.mark.parametrize(
         "command, flag", [("train", "--out"), ("evaluate", "--out-json"), ("evaluate", "--out-table")]
     )
@@ -899,9 +940,9 @@ class TestErrorExits:
 
 
 FLAG_ERROR_SITES = [
-    "doc_seed", "layer_dims_text", "training_flags", "synth_flags", "synth_memory",
-    "synth_out", "train_out", "evaluate_out_json", "evaluate_out_table",
-    "no_detector", "unknown_detector", "repeated_detector", "report_read",
+    "doc_seed", "negative_doc_seed", "negative_seed", "layer_dims_text", "training_flags",
+    "synth_flags", "synth_memory", "synth_out", "train_out", "evaluate_out_json",
+    "evaluate_out_table", "no_detector", "unknown_detector", "repeated_detector", "report_read",
 ]
 
 
@@ -915,6 +956,9 @@ def _flag_error(site, csv_path, tmp_path, monkeypatch):
     if site == "doc_seed":
         monkeypatch.setenv("DOC_SEED", "abc")
         return synth + ["--out", str(missing)], "DOC_SEED must be an integer, got 'abc'"
+    if site == "negative_doc_seed":
+        monkeypatch.setenv("DOC_SEED", "-1")
+        return train + ["--out", str(missing)], "--seed (or DOC_SEED) must be >= 0, got -1"
     if site == "synth_memory":
         def synth_generate(*args):
             raise MemoryError
@@ -936,6 +980,10 @@ def _flag_error(site, csv_path, tmp_path, monkeypatch):
         "synth_flags": (
             ["synth", "--benign", "0", "--attack", "5", "--out", str(missing)],
             "invalid synth flags (--benign/--attack/--dims/--shift): row counts must be positive",
+        ),
+        "negative_seed": (
+            synth + ["--seed", "-1", "--out", str(missing)],
+            "--seed (or DOC_SEED) must be >= 0, got -1",
         ),
         "synth_out": (synth + ["--out", str(missing)], f"cannot write {missing}: {enoent}"),
         "train_out": (train + ["--out", str(missing)], f"cannot write {missing}: {enoent}"),
@@ -965,13 +1013,8 @@ class TestFlagErrorLines:
         self, dataset_csv, tmp_path, monkeypatch, capsys, site
     ):
         argv, line = _flag_error(site, dataset_csv, tmp_path, monkeypatch)
-        out = ""
-        if site.startswith("evaluate_out"):
-            # evaluate prints its table before it writes the files
-            assert run(argv[:-2]) == 0
-            out = capsys.readouterr().out
         assert run(argv) == 2
-        assert capsys.readouterr() == (out, f"error: {line}\n")
+        assert capsys.readouterr() == ("", f"error: {line}\n")
         assert not (tmp_path / "no_such_dir").exists()
 
 

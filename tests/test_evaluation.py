@@ -178,6 +178,32 @@ class TestKfold:
         with pytest.raises(DataError):
             evaluate(ds, ["hbos"], bins=8, k=2)
 
+    @pytest.mark.parametrize("label", [0, 1], ids=["benign_only", "attack_only"])
+    def test_rejects_a_table_of_one_class(self, label):
+        ds = data.LabeledDataset(["a"], np.zeros((10, 1)), np.full(10, label))
+        with pytest.raises(DataError, match="^evaluation needs both benign and attack rows$"):
+            evaluate(ds, ["hbos"], bins=8, k=2)
+
+    @pytest.mark.parametrize("detectors", [["hbos"], ["pca"], ["doc", "svdd"]])
+    def test_rejects_layer_dims_that_do_not_fit_the_data(self, small_ds, detectors):
+        # checked before any fold, also when no detector trains a network
+        with pytest.raises(ValueError, match=r"^layer_dims\[0\]=5 does not match data dim 6$"):
+            evaluate(small_ds, detectors, SvddConfig(layer_dims=[5, 4]), k=2)
+
+    def test_each_report_echoes_the_arguments(self, small_ds):
+        config = SvddConfig(epochs=1, batch_size=32, lr=0.01, weight_decay=0.0, seed=5)
+        reports = evaluate(
+            small_ds, ["pca", "hbos"], config, bins=7, protocol="holdout",
+            train_fraction=0.6, contamination=0.2, seed=4,
+        )
+        expected = {
+            "layer_dims": [6, 32, 8], "epochs": 1, "batch_size": 32, "lr": 0.01,
+            "weight_decay": 0.0, "bins": 7, "contamination": 0.2, "seed": 4,
+            "protocol": "holdout", "detectors": ["pca", "hbos"],
+        }
+        assert [r["config"] for r in reports] == [expected, expected]
+        assert reports[0]["config"] is not reports[1]["config"]
+
     def test_rejects_small_k(self, small_ds):
         with pytest.raises(ValueError):
             evaluate(small_ds, ["hbos"], bins=8, k=1)
@@ -251,8 +277,8 @@ class TestSharedNetwork:
         names = ["doc", "svdd", "hbos", "pca"]
 
         def report_json(report):
-            doc = dict(report)
-            doc.pop("wall_seconds")
+            doc = dict(report, config=dict(report["config"]))
+            doc.pop("wall_seconds"), doc["config"].pop("detectors")
             return doc
 
         kwargs = dict(bins=6, seed=3, **PROTOCOLS[protocol])
@@ -277,7 +303,7 @@ class TestNetworkDetectorsMatchTheirScorers:
         train_x = small_ds.rows[train_idx]
         scaler = data.fit_scaler(train_x)
         test = data.LabeledDataset(small_ds.columns, small_ds.rows[test_idx], small_ds.labels[test_idx])
-        return data.apply_scaler(scaler, train_x), scaler, test
+        return train_x, data.apply_scaler(scaler, train_x), scaler, test
 
     def assert_fold_matches(self, small_ds, name, scores, threshold, test):
         (report,) = evaluate(small_ds, [name], self.config, **self.kwargs)
@@ -289,13 +315,13 @@ class TestNetworkDetectorsMatchTheirScorers:
         assert fold["auc"] == roc_auc(test.labels, scores)
 
     def test_doc_is_pipeline_fit_and_score_batch(self, small_ds, split):
-        scaled, scaler, test = split
-        model = pipeline.fit(self.config, scaled, scaler, small_ds.columns, bins=6, contamination=0.1)
+        train_x, _, _, test = split
+        model = pipeline.fit(self.config, train_x, small_ds.columns, bins=6, contamination=0.1)
         scores = pipeline.score_batch(model, test.rows)
         self.assert_fold_matches(small_ds, "doc", scores, model.threshold, test)
 
     def test_svdd_is_distance_score_batch(self, small_ds, split):
-        scaled, scaler, test = split
+        _, scaled, scaler, test = split
         (network,) = svdd.train(self.config, scaled[None])
 
         def distances(x):

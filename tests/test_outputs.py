@@ -94,6 +94,8 @@ def test_score_stdout(produced):
     assert len(got) == len(want) == 301
     for a, e in zip(got[1:], want[1:]):
         assert a[:-2] == e[:-2] and a[-1] == e[-1]
+        # a score is written as the shortest text that reads back as it
+        assert a[-2] == repr(float(a[-2]))
         assert math.isclose(float(a[-2]), float(e[-2]), rel_tol=RTOL, abs_tol=0.0)
         assert not math.isclose(float(e[-2]), threshold, rel_tol=RTOL)
 

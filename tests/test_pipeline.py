@@ -12,10 +12,8 @@ from docnids.svdd import SvddConfig
 def small_model():
     ds = data.synth_generate(400, 50, 6, 0.6, seed=5)
     benign = ds.rows[ds.labels == 0]
-    scaler = data.fit_scaler(benign)
-    scaled = data.apply_scaler(scaler, benign)
     cfg = SvddConfig(layer_dims=[6, 12, 4], epochs=10, batch_size=64, seed=2)
-    return pipeline.fit(cfg, scaled, scaler, ds.columns, bins=8, contamination=0.1), ds
+    return pipeline.fit(cfg, benign, ds.columns, bins=8, contamination=0.1), ds
 
 
 class TestFit:
@@ -30,18 +28,16 @@ class TestFit:
     def test_same_seed_identical_serialized(self, tmp_path):
         ds = data.synth_generate(100, 10, 4, 0.6, seed=1)
         benign = ds.rows[ds.labels == 0]
-        scaler = data.fit_scaler(benign)
-        scaled = data.apply_scaler(scaler, benign)
         cfg = SvddConfig(layer_dims=[4, 6, 2], epochs=5, batch_size=32, seed=9)
         for name in ("a", "b"):
-            m = pipeline.fit(cfg, scaled, scaler, ds.columns, bins=5)
+            m = pipeline.fit(cfg, benign, ds.columns, bins=5)
             pipeline.save(m, tmp_path / name)
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     def test_rejects_bad_contamination(self, small_model):
         _, ds = small_model
         with pytest.raises(ValueError):
-            pipeline.fit(SvddConfig(epochs=0), np.zeros((4, 6)), None, ds.columns, contamination=0.0)
+            pipeline.fit(SvddConfig(epochs=0), np.zeros((4, 6)), ds.columns, contamination=0.0)
 
     def test_rejects_zero_bins_before_training(self, small_model, monkeypatch):
         _, ds = small_model
@@ -51,7 +47,7 @@ class TestFit:
 
         monkeypatch.setattr(svdd, "train", no_training)
         with pytest.raises(ValueError, match="bin count must be >= 1, got 0"):
-            pipeline.fit(SvddConfig(epochs=0), np.zeros((4, 6)), None, ds.columns, bins=0)
+            pipeline.fit(SvddConfig(epochs=0), np.zeros((4, 6)), ds.columns, bins=0)
 
     def test_hist_dimension_matches_embedding(self, small_model):
         model, _ = small_model
