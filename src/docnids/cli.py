@@ -127,14 +127,14 @@ def cmd_train(args) -> int:
     pipeline.check_contamination(args.contamination)
     hbos.check_bins(args.bins)
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
-    benign = ds.rows[ds.labels == 0]
-    if benign.shape[0] == 0:
+    benign = (ds.labels == 0).nonzero()[0]
+    if benign.size == 0:
         raise DataError("no benign rows to train on")
     if args.train_fraction is not None:
-        benign = ds.rows[data.split_benign_indices(ds.labels, args.train_fraction, args.seed)[0]]
+        benign = data.split_benign_indices(ds.labels, args.train_fraction, args.seed)[0]
     # a ValueError here is a flag error: main exits 2
-    model = pipeline.fit(
-        config, benign, ds.columns, bins=args.bins, contamination=args.contamination
+    (model,) = pipeline.fit(
+        config, ds.rows, [benign], ds.columns, bins=args.bins, contamination=args.contamination
     )
     try:
         pipeline.save(model, args.out)
@@ -200,15 +200,10 @@ def cmd_score(args) -> int:
 
 
 def _detector_names(text: str) -> list[str]:
-    """The names in ``--detectors``: at least one, each known, none twice."""
+    """The names in ``--detectors``, at least one; ``check_settings`` checks the rest."""
     names = [n for n in text.split(",") if n]
     if not names:
         raise ValueError(f"--detectors names no detector, got {text!r}")
-    for i, n in enumerate(names):
-        if n not in evaluation.DETECTORS:
-            raise ValueError(f"unknown detector {n!r}; choose from {sorted(evaluation.DETECTORS)}")
-        if n in names[:i]:
-            raise ValueError(f"--detectors names {n!r} more than once")
     return names
 
 
@@ -222,10 +217,10 @@ def _write_text(path, text: str) -> None:
 
 def cmd_evaluate(args) -> int:
     names = _detector_names(args.detectors)
-    config = _svdd_config(args)
     evaluation.check_settings(
-        args.protocol, args.k, args.train_fraction, args.contamination, args.bins
+        names, args.protocol, args.k, args.train_fraction, args.contamination, args.bins
     )
+    config = _svdd_config(args)
     ds = data.load_csv(args.input, args.label_column, _drop_list(args), args.category_column)
     reports = evaluation.evaluate(
         ds, names, config, bins=args.bins, protocol=args.protocol, k=args.k,
@@ -295,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attack", type=int, required=True)
     p.add_argument("--dims", type=int, default=16)
     p.add_argument("--shift", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a detector on the benign rows of a CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--train-fraction", type=float, default=None,
         help="optionally train on only this fraction of benign rows",
@@ -323,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--protocol", choices=["kfold", "holdout"], default="kfold")
     p.add_argument("--train-fraction", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-table", default=None)
     _add_csv_flags(p)
@@ -343,7 +338,10 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as e:
             return EXIT_FLAG if e.code not in (0, None) else EXIT_OK
-        # synth, train and evaluate take a seed; checked before any read
+        # synth, train and evaluate take a seed, DOC_SEED's by default;
+        # checked before any read
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed (or DOC_SEED) must be >= 0, got {args.seed}")
         code = args.func(args)

@@ -3,11 +3,11 @@
 Every detector is one function: fitted on a fold's benign-only training
 rows, it returns the scores of those rows and of the test rows (higher =
 more anomalous). The harness owns fold construction, per-fold scaling,
-the per-fold network and thresholding, so every detector sees identical
-data within a run. ``hbos`` and ``pca`` see the scaled rows; ``doc``
-(``hbos`` of the pipeline) and ``svdd`` (distance to the center) see the
-rows' embeddings under the fold's network, made once per fold. Each
-report is the JSON-ready document that ``evaluate --out-json`` writes.
+the fold's ``pipeline.fit`` model and thresholding, so every detector
+sees identical data within a run. ``hbos`` and ``pca`` see the scaled
+rows; ``doc`` (the model's histograms) and ``svdd`` (distance to its
+center) see the rows' embeddings under its network, made once per fold.
+Each report is the JSON-ready document that ``evaluate --out-json`` writes.
 """
 
 from __future__ import annotations
@@ -18,16 +18,9 @@ from typing import Callable
 import numpy as np
 
 from . import hbos, pipeline, svdd
-from .data import (
-    LabeledDataset,
-    ScalerParams,
-    apply_scaler,
-    check_fraction,
-    fit_scaler,
-    split_benign_indices,
-)
+from .data import LabeledDataset, apply_scaler, check_fraction, fit_scaler, split_benign_indices
 from .errors import DataError
-from .svdd import SvddConfig, SvddModel
+from .svdd import SvddConfig
 
 METRIC_COLUMNS = ("accuracy", "f1", "auc", "dr", "far")
 
@@ -92,22 +85,27 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def fit_hbos(train, test, network, bins):
-    """Histogram scores of the rows it is given: the scaled features for
-    ``hbos``, the fold's embeddings for ``doc``."""
+def fit_hbos(train, test, model, bins):
+    """Histogram scores under histograms fitted on the training rows."""
     hist = hbos.fit_histograms(train, bins)
     return hbos.hbos_score_batch(hist, train), hbos.hbos_score_batch(hist, test)
 
 
-def fit_svdd(train, test, network, bins):
+def fit_doc(train, test, model, bins):
+    """Histogram scores under the histograms ``pipeline.fit`` fitted."""
+    return hbos.hbos_score_batch(model.hist, train), hbos.hbos_score_batch(model.hist, test)
+
+
+def fit_svdd(train, test, model, bins):
     """Squared distance of the fold's embeddings to the network's center."""
-    return svdd.distances_sq(train, network.center), svdd.distances_sq(test, network.center)
+    c = model.svdd.center
+    return svdd.distances_sq(train, c), svdd.distances_sq(test, c)
 
 
 PCA_VARIANCE_TARGET = 0.9
 
 
-def fit_pca(train, test, network, bins):
+def fit_pca(train, test, model, bins):
     """Squared reconstruction error from the top principal components of
     the training rows explaining at least PCA_VARIANCE_TARGET of their
     variance."""
@@ -133,13 +131,13 @@ def fit_pca(train, test, network, bins):
     return errors(centered), errors(np.asarray(test, dtype=np.float64) - mean)
 
 
-# Each detector maps (train rows, test rows, the fold's trained network or
-# None, histogram bin count) to (train scores, test scores).
+# Each detector maps (train rows, test rows, the fold's DocModel or None,
+# histogram bin count) to (train scores, test scores).
 DETECTORS: dict[str, Callable] = {
-    "doc": fit_hbos, "svdd": fit_svdd, "hbos": fit_hbos, "pca": fit_pca,
+    "doc": fit_doc, "svdd": fit_svdd, "hbos": fit_hbos, "pca": fit_pca,
 }
-# The detectors that see the fold's embeddings under the network, which
-# is trained once per fold; the others see the scaled rows.
+# The detectors that see the fold's embeddings under the network of its
+# DocModel, which is fitted once per fold; the others see the scaled rows.
 NETWORK_DETECTORS = frozenset({"doc", "svdd"})
 
 
@@ -158,43 +156,42 @@ def _evaluate_fold(
     train_x: np.ndarray,
     test_x: np.ndarray,
     test_y: np.ndarray,
-    scaler: ScalerParams,
-    network: SvddModel | None,
-    seconds: tuple[float, float],
+    model: pipeline.DocModel | None,
+    fit_s: float,
     detectors: list[str],
     bins: int,
     contamination: float,
 ) -> list[tuple[dict, float]]:
-    """Scale the rows with the fold's scaler; if the fold has a network,
-    embed the train and test rows once; then fit, threshold and score
-    each detector on its rows.
+    """Fit the fold's scaler (the same bits as ``model.scaler``: a min and
+    a max are exact) and scale its rows; if the fold has a ``model``,
+    embed the train and test rows once under its network; then fit,
+    threshold and score each detector on its rows.
 
-    ``seconds`` is the time the fold took before this call: fitting its
-    scaler, and its share of the training. Returns one (result, seconds)
-    pair per detector, in order; a result is the fold's entry in the
-    report document. A detector's seconds count the scaling, the training
-    share and the embedding if it uses the network, and its own fit and
+    Returns one (result, seconds) pair per detector, in order; a result
+    is the fold's entry in the report document. A detector's seconds
+    count the scaling, ``fit_s`` (the fold's share of ``pipeline.fit``)
+    and the embedding if it uses the network, and its own fit and
     scoring. The fold's arrays live only in this call."""
-    scale_s, train_s = seconds
     start = time.perf_counter()
+    scaler = fit_scaler(train_x)
     scaled = (apply_scaler(scaler, train_x), apply_scaler(scaler, test_x))
     scaled_at = time.perf_counter()
     embedded = None
-    if network is not None:
-        embedded = tuple(svdd.embed_batch(network, x) for x in scaled)
+    if model is not None:
+        embedded = tuple(svdd.embed_batch(model.svdd, x) for x in scaled)
     embedded_at = time.perf_counter()
     out = []
     for name in detectors:
         own_start = time.perf_counter()
         uses_network = name in NETWORK_DETECTORS
         train_in, test_in = embedded if uses_network else scaled
-        train_scores, test_scores = DETECTORS[name](train_in, test_in, network, bins)
+        train_scores, test_scores = DETECTORS[name](train_in, test_in, model, bins)
         threshold = pipeline.threshold_from_scores(train_scores, contamination)
         cm = confusion(test_y, (test_scores > threshold).astype(np.int64))
         result = {"fold": fold, **cm, "auc": roc_auc(test_y, test_scores), **metrics(cm)}
-        shared = scale_s + scaled_at - start
+        shared = scaled_at - start
         if uses_network:
-            shared += train_s + embedded_at - scaled_at
+            shared += fit_s + embedded_at - scaled_at
         out.append((result, shared + time.perf_counter() - own_start))
     return out
 
@@ -208,19 +205,20 @@ def benign_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return np.array_split(rng.permutation(benign_idx), k)
 
 
-def _scaled_stack(rows, splits, scalers, members) -> np.ndarray:
-    """The (len(members), n, d) stack of the named folds' scaled training
-    rows, all n long, each written straight into its slice."""
-    n = len(splits[members[0]][0])
-    stack = np.empty((len(members), n, rows.shape[1]))
-    for x, i in zip(stack, members):
-        apply_scaler(scalers[i], rows[splits[i][0]], out=x)
-    return stack
-
-
-def check_settings(protocol: str, k: int, train_fraction: float, contamination: float, bins: int):
-    """The checks of ``evaluate``'s settings that need no data; k is read
-    only for ``kfold`` and the train fraction only for ``holdout``."""
+def check_settings(
+    detectors: list[str], protocol: str, k: int, train_fraction: float, contamination: float,
+    bins: int,
+) -> None:
+    """The checks of ``evaluate``'s settings that need no data: one or
+    more known detectors, none twice (named as ``--detectors``); k is
+    read only for ``kfold`` and the train fraction only for ``holdout``."""
+    if not detectors:
+        raise ValueError(f"--detectors names no detector, got {detectors!r}")
+    for i, name in enumerate(detectors):
+        if name not in DETECTORS:
+            raise ValueError(f"unknown detector {name!r}; choose from {sorted(DETECTORS)}")
+        if name in detectors[:i]:
+            raise ValueError(f"--detectors names {name!r} more than once")
     pipeline.check_contamination(contamination)
     hbos.check_bins(bins)
     if protocol == "kfold" and k < 2:
@@ -252,20 +250,15 @@ def evaluate(
     trains on the other k-1 benign folds and tests on its own benign fold
     plus every attack row. ``holdout``: a single seeded benign train/test
     split with every attack row in the test set. Per fold, the scaler is
-    fitted, the network trained and the rows embedded once, and every
-    detector uses them.
+    fitted and the rows scaled once, and every detector uses them.
 
-    If some detector uses the network, every fold's scaler is fitted
-    first; then each fold's scaled training rows are written into a
-    (folds, n, d) stack, one per training size (k folds have at most
-    two), and ``svdd.train`` fits every fold of a stack at once, in
-    ranges of folds spread over the usable cores. The stacks hold k
-    copies of the training rows and are dropped before the detectors run
-    fold by fold. A report's ``wall_seconds`` gives each fold an even
-    share of its stack's training time: the stack's wall time divided by
-    its members, however many cores trained them."""
+    If some detector uses the network, one ``pipeline.fit`` call per
+    training size (k folds have at most two) fits the model ``train``
+    would ship for each fold of that size. A report's ``wall_seconds``
+    gives each fold an even share of its call's wall time, however many
+    cores trained the folds."""
     # checked before any fold, whichever detectors run
-    check_settings(protocol, k, train_fraction, contamination, bins)
+    check_settings(detectors, protocol, k, train_fraction, contamination, bins)
     if ds.n_attack == 0 or ds.n_benign == 0:
         raise DataError("evaluation needs both benign and attack rows")
     config = config or SvddConfig()
@@ -288,27 +281,23 @@ def evaluate(
         k = 1
         splits = [split_benign_indices(ds.labels, train_fraction, seed)]
 
-    scalers, seconds = [], []
-    for train_idx, _ in splits:
-        start = time.perf_counter()
-        scalers.append(fit_scaler(ds.rows[train_idx]))
-        seconds.append([time.perf_counter() - start, 0.0])
-    networks: list[SvddModel | None] = [None] * len(splits)
+    # each fold's model and its share of pipeline.fit's seconds
+    fitted: list[tuple] = [(None, 0.0)] * len(splits)
     if NETWORK_DETECTORS.intersection(detectors):
         by_size: dict[int, list[int]] = {}
         for i, (train_idx, _) in enumerate(splits):
             by_size.setdefault(len(train_idx), []).append(i)
         for members in by_size.values():
             start = time.perf_counter()
-            models = svdd.train(config, _scaled_stack(ds.rows, splits, scalers, members))
+            sets = [splits[i][0] for i in members]
+            models = pipeline.fit(config, ds.rows, sets, ds.columns, bins, contamination)
             share = (time.perf_counter() - start) / len(members)
             for model, i in zip(models, members):
-                networks[i] = model
-                seconds[i][1] = share
+                fitted[i] = (model, share)
     per_fold = [
         _evaluate_fold(
-            i, ds.rows[train_idx], ds.rows[test_idx], ds.labels[test_idx], scalers[i],
-            networks[i], tuple(seconds[i]), detectors, bins, contamination,
+            i, ds.rows[train_idx], ds.rows[test_idx], ds.labels[test_idx], *fitted[i],
+            detectors, bins, contamination,
         )
         for i, (train_idx, test_idx) in enumerate(splits)
     ]

@@ -54,33 +54,45 @@ def threshold_from_scores(scores: np.ndarray, contamination: float) -> float:
 
 def fit(
     config: SvddConfig,
-    benign: np.ndarray,
+    rows: np.ndarray,
+    train_sets: list[np.ndarray],
     columns: list[str],
     bins: int = 10,
     contamination: float = 0.1,
-) -> DocModel:
-    """Fit the full detector on raw benign feature rows, as ``score_batch``
-    takes them: min-max scale them with a scaler fitted on them, train the
-    network on the scaled rows, and fit the histograms and the threshold
-    on the rows' embeddings."""
+) -> list[DocModel]:
+    """Fit one detector per training set; ``train_sets`` are equal-length
+    index arrays into the raw feature ``rows``, as ``score_batch`` takes
+    them. Each set's rows are min-max scaled by a scaler fitted on them
+    and written into one (k, n, d) stack, which one ``svdd.train`` call
+    trains. The stack is freed; then each set is scaled again, embedded,
+    and its histograms and threshold are fitted on the embeddings."""
     check_contamination(contamination)
     hbos.check_bins(bins)
-    scaler = fit_scaler(benign)
-    scaled = apply_scaler(scaler, benign)
-    (model,) = svdd.train(config, scaled[None])
-    z = svdd.embed_batch(model, scaled)
-    hist = hbos.fit_histograms(z, bins)
-    scores = hbos.hbos_score_batch(hist, z)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("non-finite training scores")
-    return DocModel(
-        svdd=model,
-        hist=hist,
-        threshold=threshold_from_scores(scores, contamination),
-        contamination=contamination,
-        scaler=scaler,
-        schema_hash=schema_hash(columns),
-    )
+    lengths = [len(idx) for idx in train_sets]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"need one or more training sets of one length, got lengths {lengths}")
+    stack = np.empty((len(train_sets), lengths[0], rows.shape[1]))
+    scalers = []
+    for x, idx in zip(stack, train_sets):
+        raw = rows[idx]
+        scalers.append(fit_scaler(raw))
+        apply_scaler(scalers[-1], raw, out=x)
+    # x views the stack, which must be freed before any set is embedded
+    del x, raw
+    networks = svdd.train(config, stack)
+    del stack
+    models = []
+    for network, scaler, idx in zip(networks, scalers, train_sets):
+        z = svdd.embed_batch(network, apply_scaler(scaler, rows[idx]))
+        hist = hbos.fit_histograms(z, bins)
+        scores = hbos.hbos_score_batch(hist, z)
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("non-finite training scores")
+        models.append(DocModel(
+            svdd=network, hist=hist, threshold=threshold_from_scores(scores, contamination),
+            contamination=contamination, scaler=scaler, schema_hash=schema_hash(columns),
+        ))
+    return models
 
 
 def check_schema(model: DocModel, columns: list[str]) -> None:

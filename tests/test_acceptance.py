@@ -112,7 +112,10 @@ def test_criterion_4_training_contraction(fixture_scaled):
 @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.2])
 def test_criterion_5_threshold_property(fixture_ds, gamma):
     benign = fixture_ds.rows[fixture_ds.labels == 0]
-    model = pipeline.fit(SvddConfig(seed=0), benign, fixture_ds.columns, contamination=gamma)
+    (model,) = pipeline.fit(
+        SvddConfig(seed=0), benign, [np.arange(len(benign))], fixture_ds.columns,
+        contamination=gamma,
+    )
     scores = pipeline.score_batch(model, benign)
     frac = (scores > model.threshold).mean()
     n = len(benign)
@@ -182,7 +185,8 @@ def test_criterion_8_protocol_guarantees(fixture_ds):
 
 def test_criterion_9_serialization(fixture_ds, tmp_path, capsys):
     cfg = SvddConfig(epochs=5, seed=0)
-    model = pipeline.fit(cfg, fixture_ds.rows[fixture_ds.labels == 0], fixture_ds.columns)
+    benign = np.flatnonzero(fixture_ds.labels == 0)
+    (model,) = pipeline.fit(cfg, fixture_ds.rows, [benign], fixture_ds.columns)
     path = tmp_path / "model.doc"
     pipeline.save(model, path)
     loaded = pipeline.load(path)

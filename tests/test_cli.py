@@ -242,7 +242,8 @@ class TestTrain:
         assert f"trained on {len(train_idx)} benign rows" in capsys.readouterr().out
         config = SvddConfig(layer_dims=[6, 10, 4], epochs=3, seed=4)
         expected = tmp_path / "expected.doc"
-        pipeline.save(pipeline.fit(config, ds.rows[train_idx], ds.columns), expected)
+        (model,) = pipeline.fit(config, ds.rows, [train_idx], ds.columns)
+        pipeline.save(model, expected)
         assert model_path.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("fraction", ["0", "1.5"])
@@ -1067,11 +1068,23 @@ def _argv(command, flows, tmp_path, model_file=None):
 
 
 class TestSeedEnv:
+    def test_commands_without_a_seed_ignore_doc_seed(
+        self, dataset_csv, model_file, tmp_path, monkeypatch, capsys
+    ):
+        out_json = tmp_path / "r.json"
+        argv = ["evaluate", "--input", str(dataset_csv), "--detectors", "hbos", "--k", "2"]
+        assert run([*argv, "--out-json", str(out_json)]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("DOC_SEED", "abc")
+        assert run(["score", "--model", str(model_file), "--input", str(dataset_csv)]) == 0
+        assert run(["report", "--json", str(out_json)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_doc_seed_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DOC_SEED", "77")
         parser = cli.build_parser()
         args = parser.parse_args(
             ["synth", "--benign", "1", "--attack", "1", "--out", "x"]
         )
-        # parser defaults are bound at build time; rebuild under the env var
+        # the seed's default is read from DOC_SEED when the command runs
         assert args.seed == 77 or cli._default_seed() == 77

@@ -204,6 +204,26 @@ class TestKfold:
         assert [r["config"] for r in reports] == [expected, expected]
         assert reports[0]["config"] is not reports[1]["config"]
 
+    @pytest.mark.parametrize(
+        "detectors, message",
+        [
+            ([], "names no detector"),
+            (["hbos", "bogus"], "unknown detector 'bogus'"),
+            (["hbos", "hbos"], "'hbos' more than once"),
+        ],
+        ids=["none", "unknown", "repeated"],
+    )
+    def test_bad_detector_lists_are_rejected_before_any_fold(
+        self, small_ds, monkeypatch, detectors, message
+    ):
+        def no_fold(*args):
+            raise AssertionError("a fold started")
+
+        monkeypatch.setattr(svdd, "train", no_fold)
+        monkeypatch.setattr(evaluation, "fit_scaler", no_fold)
+        with pytest.raises(ValueError, match=message):
+            evaluate(small_ds, detectors, k=2)
+
     def test_rejects_small_k(self, small_ds):
         with pytest.raises(ValueError):
             evaluate(small_ds, ["hbos"], bins=8, k=1)
@@ -263,8 +283,9 @@ class TestSharedNetwork:
 
         monkeypatch.setattr(nn, "forward_batch", forward_batch)
         reports = evaluate(small_ds, ["doc", "svdd"], self.config, seed=3, **PROTOCOLS[protocol])
-        # the center, the training rows and the test rows
-        assert len(calls) == 3 * len(reports[0]["folds"])
+        # the center, pipeline.fit's histogram rows, and the fold's
+        # training rows and test rows
+        assert len(calls) == 4 * len(reports[0]["folds"])
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_no_training_without_a_network_detector(self, small_ds, monkeypatch, protocol):
@@ -316,7 +337,10 @@ class TestNetworkDetectorsMatchTheirScorers:
 
     def test_doc_is_pipeline_fit_and_score_batch(self, small_ds, split):
         train_x, _, _, test = split
-        model = pipeline.fit(self.config, train_x, small_ds.columns, bins=6, contamination=0.1)
+        (model,) = pipeline.fit(
+            self.config, train_x, [np.arange(len(train_x))], small_ds.columns, bins=6,
+            contamination=0.1,
+        )
         scores = pipeline.score_batch(model, test.rows)
         self.assert_fold_matches(small_ds, "doc", scores, model.threshold, test)
 

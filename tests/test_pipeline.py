@@ -11,9 +11,10 @@ from docnids.svdd import SvddConfig
 @pytest.fixture(scope="module")
 def small_model():
     ds = data.synth_generate(400, 50, 6, 0.6, seed=5)
-    benign = ds.rows[ds.labels == 0]
+    benign = np.flatnonzero(ds.labels == 0)
     cfg = SvddConfig(layer_dims=[6, 12, 4], epochs=10, batch_size=64, seed=2)
-    return pipeline.fit(cfg, benign, ds.columns, bins=8, contamination=0.1), ds
+    (model,) = pipeline.fit(cfg, ds.rows, [benign], ds.columns, bins=8, contamination=0.1)
+    return model, ds
 
 
 class TestFit:
@@ -27,17 +28,20 @@ class TestFit:
 
     def test_same_seed_identical_serialized(self, tmp_path):
         ds = data.synth_generate(100, 10, 4, 0.6, seed=1)
-        benign = ds.rows[ds.labels == 0]
+        benign = np.flatnonzero(ds.labels == 0)
         cfg = SvddConfig(layer_dims=[4, 6, 2], epochs=5, batch_size=32, seed=9)
         for name in ("a", "b"):
-            m = pipeline.fit(cfg, benign, ds.columns, bins=5)
+            (m,) = pipeline.fit(cfg, ds.rows, [benign], ds.columns, bins=5)
             pipeline.save(m, tmp_path / name)
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     def test_rejects_bad_contamination(self, small_model):
         _, ds = small_model
         with pytest.raises(ValueError):
-            pipeline.fit(SvddConfig(epochs=0), np.zeros((4, 6)), ds.columns, contamination=0.0)
+            pipeline.fit(
+                SvddConfig(epochs=0), np.zeros((4, 6)), [np.arange(4)], ds.columns,
+                contamination=0.0,
+            )
 
     def test_rejects_zero_bins_before_training(self, small_model, monkeypatch):
         _, ds = small_model
@@ -47,11 +51,50 @@ class TestFit:
 
         monkeypatch.setattr(svdd, "train", no_training)
         with pytest.raises(ValueError, match="bin count must be >= 1, got 0"):
-            pipeline.fit(SvddConfig(epochs=0), np.zeros((4, 6)), ds.columns, bins=0)
+            pipeline.fit(
+                SvddConfig(epochs=0), np.zeros((4, 6)), [np.arange(4)], ds.columns, bins=0
+            )
 
     def test_hist_dimension_matches_embedding(self, small_model):
         model, _ = small_model
         assert model.hist.dim == model.svdd.params.layer_dims[-1]
+
+
+class TestStackedFit:
+    """``fit`` trains every training set in one stack; each model is the
+    one that fitting its set alone gives."""
+
+    cfg = SvddConfig(layer_dims=[6, 12, 4], epochs=4, batch_size=32, seed=3)
+
+    def test_each_model_equals_its_set_fitted_alone(self, small_model, tmp_path):
+        _, ds = small_model
+        benign = np.random.default_rng(7).permutation(np.flatnonzero(ds.labels == 0))
+        sets = [benign[:150], benign[200:350]]
+        kwargs = dict(bins=7, contamination=0.2)
+        stacked = pipeline.fit(self.cfg, ds.rows, sets, ds.columns, **kwargs)
+        assert len(stacked) == 2
+        for i, (model, idx) in enumerate(zip(stacked, sets)):
+            (alone,) = pipeline.fit(self.cfg, ds.rows, [idx], ds.columns, **kwargs)
+            pipeline.save(model, tmp_path / f"stacked{i}")
+            pipeline.save(alone, tmp_path / f"alone{i}")
+            assert (tmp_path / f"stacked{i}").read_bytes() == (tmp_path / f"alone{i}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [([], r"got lengths \[\]"), ([np.arange(5), np.arange(4)], r"got lengths \[5, 4\]")],
+        ids=["empty", "unequal"],
+    )
+    def test_bad_training_sets_are_rejected_before_training(
+        self, small_model, monkeypatch, sets, message
+    ):
+        _, ds = small_model
+
+        def no_training(config, stack):
+            raise AssertionError("trained before checking the training sets")
+
+        monkeypatch.setattr(svdd, "train", no_training)
+        with pytest.raises(ValueError, match=message):
+            pipeline.fit(self.cfg, ds.rows, sets, ds.columns)
 
 
 class TestScoreAndClassify:
