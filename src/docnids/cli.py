@@ -179,8 +179,7 @@ def cmd_score(args) -> int:
         columns = [header[i] for i in feature_idx]
         pipeline.check_schema(model, columns)
         writer.writerow(header + ["score", "verdict"])
-        width = max(feature_idx) + 1
-        for start, lines, records, x, bad in data.read_chunks(rest, feature_idx, width):
+        for start, lines, records, x, bad in data.read_chunks(rest, feature_idx):
             n_good = bad[0] - start if bad else len(x)
             scores = pipeline.score_batch(model, x[:n_good])
             labels = pipeline.verdict_labels(model, scores)

@@ -93,9 +93,9 @@ def load_csv(
 ) -> LabeledDataset:
     """Load a labeled feature table, dropping identifier columns.
 
-    Rows with unparseable numeric values are rejected; the error names
-    the offending row indices (0-based, counting data rows). Rows are read
-    by ``read_chunks``, so the bad-row rule is the one ``score`` applies.
+    Bad rows are rejected; the error names their indices (0-based,
+    counting data rows). Rows are read by ``read_chunks``, so the bad-row
+    rule is the one ``score`` applies.
     """
     drop = DEFAULT_DROP_COLUMNS if drop_columns is None else drop_columns
     with open_csv(path) as (header, rest):
@@ -104,9 +104,8 @@ def load_csv(
         feature_idx = feature_indices(header, label_column, category_column, drop)
         label_idx = header.index(label_column)
         category_idx = header.index(category_column) if category_column in header else None
-        width = max([*feature_idx, label_idx, category_idx or 0]) + 1
         xs, label_cells, categories, bad_rows = [], [], [], []
-        for start, lines, records, x, bad in read_chunks(rest, feature_idx, width):
+        for start, lines, records, x, bad in read_chunks(rest, feature_idx):
             if records is None:
                 # A raw line holds no quote or CR, so its cells are its commas' gaps.
                 good = [line[:-1].split(",") for line in lines]
@@ -135,7 +134,8 @@ def load_csv(
 @dataclass
 class CsvRest:
     """The text of an open CSV file after its header record, for
-    ``read_chunks``. ``line_num`` counts the lines of the header and of
+    ``read_chunks``. ``width`` is the header's cell count, which every
+    data row must have. ``line_num`` counts the lines of the header and of
     the raw-line chunks read so far, as ``csv.reader`` counts lines; after
     a ``csv`` error, it is the line that error is on. ``path`` names the
     file for the parse workers, which ``read_chunks`` starts only where it
@@ -144,6 +144,7 @@ class CsvRest:
     worker could not be started); it is empty before and after."""
 
     file: Iterator[str]
+    width: int = 0
     line_num: int = 0
     path: str | os.PathLike | None = None
     parsers: list = field(default_factory=list)
@@ -176,6 +177,7 @@ def open_csv(path):
                 rest.line_num = reader.line_num
             if header is None:
                 raise DataError(f"{path}: file is empty")
+            rest.width = len(header)
             yield header, rest
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
@@ -185,11 +187,11 @@ def open_csv(path):
             workers.stop(rest.parsers)
 
 
-def read_chunks(rest: CsvRest, feature_idx: list[int], width: int):
+def read_chunks(rest: CsvRest, feature_idx: list[int]):
     """Yield ``(start, lines, records, x, bad)`` for each ``CHUNK_ROWS``
     rows of ``rest``: the data row index of the first, the rows, the
     float64 ``feature_idx`` cells of the good ones and the indices of the
-    bad ones. A row is bad if it has fewer than ``width`` cells or a
+    bad ones. A row is bad if it has other than ``rest.width`` cells or a
     feature that ``float`` rejects or that is not finite.
 
     Chunks are read as raw lines. While ``_raw_features`` vouches for a
@@ -214,23 +216,23 @@ def read_chunks(rest: CsvRest, feature_idx: list[int], width: int):
         frame = None if worker is None else workers.receive(worker)
         x = frame[2] if frame and frame[:2] == (len(lines), sum(map(len, lines))) else None
         if x is None:
-            x = _raw_features(lines, feature_idx, width)
+            x = _raw_features(lines, feature_idx, rest.width)
             # a worker's chunk parsed here, or one that needs csv: one core from here on
             if worker is not None or x is None:
                 workers.stop(rest.parsers)
         if x is None:
-            yield from _csv_chunks(rest, lines, start, feature_idx, width)
+            yield from _csv_chunks(rest, lines, start, feature_idx)
             return
         if not lines[-1].endswith("\n"):
             lines[-1] += "\n"
         rest.line_num += len(lines)
         if c == 0 and len(lines) == CHUNK_ROWS:
-            _start_parsers(rest, feature_idx, width)
+            _start_parsers(rest, feature_idx)
         yield start, lines, None, x, []
         start += len(lines)
 
 
-def _start_parsers(rest: CsvRest, feature_idx: list[int], width: int) -> None:
+def _start_parsers(rest: CsvRest, feature_idx: list[int]) -> None:
     """Start one parse worker for each usable core past the first, for the
     chunks after the ``rest.line_num`` lines read so far; none unless
     ``rest`` names a regular file."""
@@ -247,7 +249,7 @@ def _start_parsers(rest: CsvRest, feature_idx: list[int], width: int) -> None:
     for part in range(1, parts):
         work = functools.partial(
             _parse_part, rest.path, (st.st_dev, st.st_ino), rest.line_num,
-            part, parts, feature_idx, width,
+            part, parts, feature_idx, rest.width,
         )
         rest.parsers.append(workers.start(work))
 
@@ -284,18 +286,14 @@ _CSV_ONLY = '"\r\0\x1c\x1d\x1e\x1f'
 
 def _raw_features(lines: list[str], feature_idx: list[int], width: int):
     """The float64 ``feature_idx`` cells of raw lines, or None unless every
-    line is one record of at least ``width`` cells that ``csv.reader``
-    and ``float`` would read to the same finite values."""
+    line is one record of exactly ``width`` cells that ``csv.reader`` and
+    ``float`` would read to the same finite values."""
     text = "".join(lines)
     if (
         not feature_idx
         or any(c in text for c in _CSV_ONLY)
         or max(map(len, lines)) > csv.field_size_limit()
-        # loadtxt demands the cells up to the last feature itself.
-        or (
-            width > feature_idx[-1] + 1
-            and min(map(str.count, lines, itertools.repeat(","))) < width - 1
-        )
+        or set(map(str.count, lines, itertools.repeat(","))) != {width - 1}
     ):
         return None
     try:
@@ -313,7 +311,7 @@ def _raw_features(lines: list[str], feature_idx: list[int], width: int):
     return x
 
 
-def _csv_chunks(rest: CsvRest, lines: list[str], start: int, feature_idx, width: int):
+def _csv_chunks(rest: CsvRest, lines: list[str], start: int, feature_idx):
     """``read_chunks``' ``csv.reader`` path over ``lines`` and the rest of
     the file."""
     reader = csv.reader(itertools.chain(lines, rest.file))
@@ -323,7 +321,7 @@ def _csv_chunks(rest: CsvRest, lines: list[str], start: int, feature_idx, width:
             values, parsed, bad = [], [], []
             for i, rec in enumerate(records, start):
                 try:
-                    if len(rec) < width:
+                    if len(rec) != rest.width:
                         raise ValueError
                     values.append([float(rec[j]) for j in feature_idx])
                     parsed.append(i)
@@ -415,15 +413,17 @@ def split_benign_indices(
     labels: np.ndarray, fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded split of the benign row indices: the training side, holding
-    ``fraction`` of them, and the test side, which also holds every
-    attack row."""
+    ``fraction`` of them (rounded; none is a DataError), and the test
+    side, which also holds every attack row."""
     check_fraction(fraction)
     benign_idx = np.flatnonzero(labels == 0)
-    if benign_idx.size == 0:
-        raise DataError("dataset contains no benign rows")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(benign_idx)
     n_train = int(round(fraction * benign_idx.size))
+    if n_train == 0:
+        raise DataError(
+            f"train fraction {fraction} leaves none of the {benign_idx.size} benign rows"
+            " for training"
+        )
+    order = np.random.default_rng(seed).permutation(benign_idx)
     return order[:n_train], np.concatenate([order[n_train:], np.flatnonzero(labels == 1)])
 
 

@@ -252,11 +252,10 @@ def evaluate(
     split with every attack row in the test set. Per fold, the scaler is
     fitted and the rows scaled once, and every detector uses them.
 
-    If some detector uses the network, one ``pipeline.fit`` call per
-    training size (k folds have at most two) fits the model ``train``
-    would ship for each fold of that size. A report's ``wall_seconds``
-    gives each fold an even share of its call's wall time, however many
-    cores trained the folds."""
+    If some detector uses the network, one ``pipeline.fit`` call fits
+    the model ``train`` would ship for each fold. A report's
+    ``wall_seconds`` gives each fold an even share of that call's wall
+    time, however many cores trained the folds."""
     # checked before any fold, whichever detectors run
     check_settings(detectors, protocol, k, train_fraction, contamination, bins)
     if ds.n_attack == 0 or ds.n_benign == 0:
@@ -280,26 +279,25 @@ def evaluate(
     else:
         k = 1
         splits = [split_benign_indices(ds.labels, train_fraction, seed)]
+        if len(splits[0][0]) == ds.n_benign:
+            raise DataError(
+                f"train fraction {train_fraction} leaves none of the {ds.n_benign} benign"
+                " rows for testing"
+            )
 
     # each fold's model and its share of pipeline.fit's seconds
-    fitted: list[tuple] = [(None, 0.0)] * len(splits)
+    models, share = [None] * len(splits), 0.0
     if NETWORK_DETECTORS.intersection(detectors):
-        by_size: dict[int, list[int]] = {}
-        for i, (train_idx, _) in enumerate(splits):
-            by_size.setdefault(len(train_idx), []).append(i)
-        for members in by_size.values():
-            start = time.perf_counter()
-            sets = [splits[i][0] for i in members]
-            models = pipeline.fit(config, ds.rows, sets, ds.columns, bins, contamination)
-            share = (time.perf_counter() - start) / len(members)
-            for model, i in zip(models, members):
-                fitted[i] = (model, share)
+        start = time.perf_counter()
+        sets = [train_idx for train_idx, _ in splits]
+        models = pipeline.fit(config, ds.rows, sets, ds.columns, bins, contamination)
+        share = (time.perf_counter() - start) / len(splits)
     per_fold = [
         _evaluate_fold(
-            i, ds.rows[train_idx], ds.rows[test_idx], ds.labels[test_idx], *fitted[i],
+            i, ds.rows[train_idx], ds.rows[test_idx], ds.labels[test_idx], model, share,
             detectors, bins, contamination,
         )
-        for i, (train_idx, test_idx) in enumerate(splits)
+        for i, ((train_idx, test_idx), model) in enumerate(zip(splits, models))
     ]
     reports = []
     for j, name in enumerate(detectors):

@@ -60,37 +60,39 @@ def fit(
     bins: int = 10,
     contamination: float = 0.1,
 ) -> list[DocModel]:
-    """Fit one detector per training set; ``train_sets`` are equal-length
-    index arrays into the raw feature ``rows``, as ``score_batch`` takes
-    them. Each set's rows are min-max scaled by a scaler fitted on them
-    and written into one (k, n, d) stack, which one ``svdd.train`` call
-    trains. The stack is freed; then each set is scaled again, embedded,
-    and its histograms and threshold are fitted on the embeddings."""
+    """Fit one detector per training set, in the order of ``train_sets``:
+    one or more index arrays, of any lengths, into the raw feature ``rows``,
+    as ``score_batch`` takes them. Each set's rows are min-max scaled by a
+    scaler fitted on them into the (k, n, d) stack of the sets of its
+    length, which one ``svdd.train`` call trains and which is then freed,
+    in the order the lengths first appear. Each set's histograms and
+    threshold are fitted on its rows scaled again and embedded."""
     check_contamination(contamination)
     hbos.check_bins(bins)
-    lengths = [len(idx) for idx in train_sets]
-    if len(set(lengths)) != 1:
-        raise ValueError(f"need one or more training sets of one length, got lengths {lengths}")
-    stack = np.empty((len(train_sets), lengths[0], rows.shape[1]))
-    scalers = []
-    for x, idx in zip(stack, train_sets):
-        raw = rows[idx]
-        scalers.append(fit_scaler(raw))
-        apply_scaler(scalers[-1], raw, out=x)
-    # x views the stack, which must be freed before any set is embedded
-    del x, raw
-    networks = svdd.train(config, stack)
-    del stack
+    if not train_sets:
+        raise ValueError("need one or more training sets, got none")
+    scalers, networks = {}, {}
+    for n in dict.fromkeys(map(len, train_sets)):
+        members = [i for i, idx in enumerate(train_sets) if len(idx) == n]
+        stack = np.empty((len(members), n, rows.shape[1]))
+        for x, i in zip(stack, members):
+            raw = rows[train_sets[i]]
+            scalers[i] = fit_scaler(raw)
+            apply_scaler(scalers[i], raw, out=x)
+        # x views the stack: free both before the next stack or any embedding
+        del x, raw
+        networks.update(zip(members, svdd.train(config, stack)))
+        del stack
     models = []
-    for network, scaler, idx in zip(networks, scalers, train_sets):
-        z = svdd.embed_batch(network, apply_scaler(scaler, rows[idx]))
+    for i, idx in enumerate(train_sets):
+        z = svdd.embed_batch(networks[i], apply_scaler(scalers[i], rows[idx]))
         hist = hbos.fit_histograms(z, bins)
         scores = hbos.hbos_score_batch(hist, z)
         if not np.all(np.isfinite(scores)):
             raise ValueError("non-finite training scores")
         models.append(DocModel(
-            svdd=network, hist=hist, threshold=threshold_from_scores(scores, contamination),
-            contamination=contamination, scaler=scaler, schema_hash=schema_hash(columns),
+            svdd=networks[i], hist=hist, threshold=threshold_from_scores(scores, contamination),
+            contamination=contamination, scaler=scalers[i], schema_hash=schema_hash(columns),
         ))
     return models
 

@@ -116,8 +116,8 @@ class _BatchBuffers:
 def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     """Run epochs of shuffled mini-batch SGD on the hypersphere objective,
     once for each training set of a (k, n, d) stack. Its one caller is
-    ``pipeline.fit``: k = 1 for ``train``, one fold per member for
-    ``evaluate``.
+    ``pipeline.fit``, which makes one stack of its sets of each length:
+    k = 1 for ``train``, one fold per member for ``evaluate``.
 
     Every member starts from the same weights (``config.seed``) and takes
     its batches in the same row order (``config.seed + 1``), and members

@@ -246,6 +246,18 @@ class TestTrain:
         pipeline.save(model, expected)
         assert model_path.read_bytes() == expected.read_bytes()
 
+    def test_train_fraction_that_trains_on_nothing_exits_3(self, tmp_path, capsys):
+        # 0.001 of the pinned table's 270 benign rows rounds to none
+        flows = Path(__file__).parent / "pinned" / "flows.csv"
+        model_path = tmp_path / "m.doc"
+        argv = ["train", "--input", str(flows), "--out", str(model_path), "--epochs", "1",
+                "--train-fraction", "0.001"]
+        assert run(argv) == 3
+        assert capsys.readouterr() == (
+            "", "error: train fraction 0.001 leaves none of the 270 benign rows for training\n"
+        )
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("fraction", ["0", "1.5"])
     def test_train_fraction_out_of_range_exits_2(self, dataset_csv, tmp_path, capsys, fraction):
         model_path = tmp_path / "m.doc"
@@ -625,6 +637,26 @@ class TestEvaluate:
         (report,) = json.loads(out_json.read_text())["reports"]
         assert report["config"]["layer_dims"] == [6, 32, 8]
 
+    @pytest.mark.parametrize("fraction, side", [("0.999", "testing"), ("0.001", "training")])
+    def test_holdout_that_leaves_a_side_empty_exits_3_before_training(
+        self, tmp_path, monkeypatch, capsys, fraction, side
+    ):
+        # the pinned table holds 270 benign rows: 0.999 of them rounds to
+        # all 270, and 0.001 to none
+        def no_training(*args):
+            raise AssertionError("trained before checking the split")
+
+        monkeypatch.setattr(pipeline, "fit", no_training)
+        flows = Path(__file__).parent / "pinned" / "flows.csv"
+        out_json = tmp_path / "r.json"
+        code = run(["evaluate", "--input", str(flows), "--protocol", "holdout",
+                    "--train-fraction", fraction, "--out-json", str(out_json)])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"error: train fraction {fraction} leaves none of the 270 benign rows for {side}\n"
+        )
+        assert not out_json.exists()
+
     def test_unknown_detector_exits_2(self, dataset_csv):
         assert run(["evaluate", "--input", str(dataset_csv), "--detectors", "bogus"]) == 2
 
@@ -821,6 +853,45 @@ class TestErrorExits:
         code = run(_argv(command, flows, tmp_path))
         assert code == 3
         assert capsys.readouterr().err == f"error: {flows}: unparseable rows at indices 1\n"
+
+    # Each row has fewer or more cells than the header. On two cores, row 9
+    # is in the reader's chunk, and rows 299 and 499 are in a worker's.
+    RAGGED_ROWS = {
+        "no_category": (9, lambda cells: cells[:-1]),
+        "no_label_or_category": (299, lambda cells: cells[:-2]),
+        "one_more_cell": (499, lambda cells: cells + ["x"]),
+    }
+
+    @needs_fork
+    @pytest.mark.parametrize("row", sorted(RAGGED_ROWS))
+    @pytest.mark.parametrize("command", ["train", "evaluate", "score"])
+    def test_a_row_of_another_cell_count_exits_3(
+        self, model_file, tmp_path, monkeypatch, capsys, command, row
+    ):
+        flows = tmp_path / "flows.csv"
+        assert run(
+            "synth --benign 540 --attack 60 --dims 6 --seed 1 --out".split() + [str(flows)]
+        ) == 0
+        capsys.readouterr()
+        assert run(["score", "--model", str(model_file), "--input", str(flows)]) == 0
+        good_out = capsys.readouterr().out.splitlines(keepends=True)
+        index, edit = self.RAGGED_ROWS[row]
+        lines = flows.read_text().splitlines(keepends=True)
+        lines[1 + index] = ",".join(edit(lines[1 + index][:-1].split(","))) + "\n"
+        flows.write_text("".join(lines))
+        results = []
+        for cores in [1, 2]:
+            usable_cores(monkeypatch, cores)
+            code = run(_argv(command, flows, tmp_path, model_file))
+            results.append((code, *capsys.readouterr()))
+        assert results[1] == results[0]
+        code, out, err = results[0]
+        assert code == 3
+        if command == "score":
+            assert err == f"error: {flows}: unparseable row at index {index}\n"
+            assert out == "".join(good_out[: 1 + index])
+        else:
+            assert err == f"error: {flows}: unparseable rows at indices {index}\n"
 
     @pytest.mark.parametrize("where", ["header", "late_row"])
     @pytest.mark.parametrize("command", ["train", "evaluate", "score", "report"])

@@ -72,7 +72,8 @@ class TestLoadCsv:
 
 def per_row_load(path, label_column="Label", drop_columns=(), category_column="Attack"):
     """Oracle: the row-by-row csv.reader + float() parse that load_csv's
-    whole-table path must reproduce exactly."""
+    whole-table path must reproduce exactly. A row is bad unless it has
+    as many cells as the header."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader)
@@ -83,11 +84,13 @@ def per_row_load(path, label_column="Label", drop_columns=(), category_column="A
         rows, labels, categories, bad_rows = [], [], [], []
         for rownum, rec in enumerate(reader):
             try:
+                if len(rec) != len(header):
+                    raise ValueError
                 values = [float(rec[i]) for i in feature_idx]
                 if not all(np.isfinite(values)):
                     raise ValueError
                 label = data._parse_label(rec[label_idx])
-            except (ValueError, IndexError):
+            except ValueError:
                 bad_rows.append(rownum)
                 continue
             rows.append(values)
@@ -150,8 +153,7 @@ LOAD_CASES = {
     "ascii_separator": "a,b,Label\n\x1c1,2,0\n3,4,1\n",
 }
 
-# Rows missing only their category cell, which per_row_load cannot take
-# (it reads that cell outside its bad-row check), with load_csv's error.
+# Rows missing only their category cell, with load_csv's error.
 SHORT_ROW_CASES = {
     "missing_category": (
         "f0,f1,Label,Attack\n0.1,0.2,0,Benign\n0.4,0.3,0\n",
@@ -212,9 +214,10 @@ class TestLoadCsvMatchesPerRowOracle:
         assert back.categories == ds.categories
 
 
-def raw_lines(lines):
-    """``lines`` as ``read_chunks`` takes them: the text after a header."""
-    return data.CsvRest(iter([line + "\n" for line in lines]), line_num=1)
+def raw_lines(lines, width=3):
+    """``lines`` as ``read_chunks`` takes them: the text after a header
+    of ``width`` cells."""
+    return data.CsvRest(iter([line + "\n" for line in lines]), width, line_num=1)
 
 
 class TestReadChunks:
@@ -225,7 +228,7 @@ class TestReadChunks:
         lines[64] = "64,1"  # short of width 3
         lines[129] = ",1,0"
         with mock.patch.object(data, "CHUNK_ROWS", 64):
-            chunks = list(data.read_chunks(raw_lines(lines), [0, 1], 3))
+            chunks = list(data.read_chunks(raw_lines(lines), [0, 1]))
         assert [start for start, *_ in chunks] == [0, 64, 128]
         assert [len(records) for _, _, records, _, _ in chunks] == [64, 64, 2]
         assert [bad for *_, bad in chunks] == [[0, 63], [64], [129]]
@@ -240,7 +243,7 @@ class TestReadChunks:
         lines[199] = "199,199.5"  # no final newline
         rest = raw_lines(lines)
         with mock.patch.object(data, "CHUNK_ROWS", 64):
-            chunks = list(data.read_chunks(rest, [0, 1], 3))
+            chunks = list(data.read_chunks(rest, [0, 1]))
         assert [start for start, *_ in chunks] == [0, 64, 128, 192]
         # the first two chunks come as raw lines, the rest through csv
         assert [records is None for _, _, records, _, _ in chunks] == [True, True, False, False]
@@ -250,10 +253,12 @@ class TestReadChunks:
         assert rest.line_num == 1 + 128
 
     @pytest.mark.parametrize(
-        "line", ['"1",2,0', "1,2,0\r", "\x001,2,0", "\x1c1,2,0", "1,2\x1f,0", "1_0,2,0", "1,nan,0"]
+        "line",
+        ['"1",2,0', "1,2,0\r", "\x001,2,0", "\x1c1,2,0", "1,2\x1f,0", "1_0,2,0", "1,nan,0", "1,2",
+         "1,2,0,x"],
     )
     def test_a_line_raw_parsing_may_misread_goes_to_csv(self, line):
-        (chunk,) = data.read_chunks(raw_lines(["1,2,0"] * 3 + [line]), [0, 1], 3)
+        (chunk,) = data.read_chunks(raw_lines(["1,2,0"] * 3 + [line]), [0, 1])
         assert chunk[1] is None and chunk[2] is not None
 
     def test_open_csv_names_the_file_on_unreadable_text(self, tmp_path):
@@ -261,11 +266,11 @@ class TestReadChunks:
         p.write_bytes(b"a,Label\n1,0\n\xff,1\n")
         with pytest.raises(DataError, match=r"d\.csv: not UTF-8 text"):
             with data.open_csv(p) as (header, rest):
-                list(data.read_chunks(rest, [0], 2))
+                list(data.read_chunks(rest, [0]))
         p.write_text("a,Label\n1,0\n2," + "x" * 140_000 + "\n")
         with pytest.raises(DataError, match=r"d\.csv: line 3: field larger than field limit"):
             with data.open_csv(p) as (header, rest):
-                list(data.read_chunks(rest, [0], 2))
+                list(data.read_chunks(rest, [0]))
 
     def test_csv_error_line_counts_the_raw_lines_before_it(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -274,7 +279,7 @@ class TestReadChunks:
         p.write_text('"a\nb",Label\n' + "".join(rows))
         with pytest.raises(DataError, match=r"d\.csv: line 73: field larger than field limit"):
             with data.open_csv(p) as (header, rest):
-                list(data.read_chunks(rest, [0], 2))
+                list(data.read_chunks(rest, [0]))
 
     @pytest.mark.parametrize("chunk", [1, 3, 64, 256])
     def test_csv_error_line_is_exact_at_every_chunk_size(self, tmp_path, chunk):
@@ -287,13 +292,14 @@ class TestReadChunks:
         with mock.patch.object(data, "CHUNK_ROWS", chunk):
             with pytest.raises(DataError, match=r"d\.csv: line 74: field larger than field limit"):
                 with data.open_csv(p) as (header, rest):
-                    list(data.read_chunks(rest, [0], 2))
+                    list(data.read_chunks(rest, [0]))
 
 
 def per_row_score(path, model):
     """Oracle: score's stdout, exit code and stderr by csv.reader, float()
     and csv.writer row by row. It writes the rows before the first bad
-    one, then names that one."""
+    one, then names that one; a row is bad unless it has as many cells
+    as the header."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     with open(path, newline="", encoding="utf-8") as f:
@@ -303,8 +309,10 @@ def per_row_score(path, model):
         writer.writerow(header + ["score", "verdict"])
         for n, rec in enumerate(reader):
             try:
+                if len(rec) != len(header):
+                    raise ValueError
                 x = np.array([[float(rec[i]) for i in feature_idx]])
-            except (ValueError, IndexError):
+            except ValueError:
                 x = np.array([[np.nan]])
             if not np.isfinite(x).all():
                 return out.getvalue(), 3, f"error: {path}: unparseable row at index {n}\n"
@@ -330,7 +338,9 @@ ODD_CELLS = {
 @st.composite
 def csv_files(draw):
     """A small CSV text: clean rows, one to three odd ones anywhere, LF
-    line ends or a mix of LF, CRLF and CR, and maybe no final newline."""
+    line ends or a mix of LF, CRLF and CR, and maybe no final newline.
+    An odd row has an odd cell, no cells, or fewer or more cells than
+    the header."""
     header = draw(st.sampled_from(HEADERS))
 
     def row():
@@ -339,12 +349,13 @@ def csv_files(draw):
     rows = [row() for _ in range(draw(st.integers(0, 20)))]
     for _ in range(draw(st.integers(1, 3))):
         cells = row()
-        kind = draw(st.sampled_from(["feature", "Attack", "blank", "short"]))
+        kind = draw(st.sampled_from(["feature", "Attack", "blank", "short", "long"]))
         if kind == "blank":
             cells = []
         elif kind == "short":
-            # cut before the label, which per_row_load reads inside its check
-            cells = cells[: draw(st.integers(1, header.index("Label") or 2))]
+            cells = cells[: draw(st.integers(1, len(header) - 1))]
+        elif kind == "long":
+            cells += [draw(NUMBER) for _ in range(draw(st.integers(1, 2)))]
         elif kind in header:
             cells[header.index(kind)] = draw(st.sampled_from(ODD_CELLS[kind]))
         else:
@@ -637,7 +648,9 @@ class TestReadChunksParts:
     and load_csv returns must not depend on P or on what the workers do."""
 
     # Row 21 is in chunk 5, which a worker owns at 2 and at 3 cores; so is
-    # the last chunk of the 30-row table.
+    # the last chunk of the 30-row table. Row 25 is in chunk 6, which this
+    # process owns at 1, 2 and 3 cores. From the quoted row 13 on, every
+    # row takes the csv path.
     TABLES = {
         "clean": mixed_table({}, n=40),
         "crlf": mixed_table({21: "0.25,0.5,0,Benign\r\n"}, n=40),
@@ -645,7 +658,19 @@ class TestReadChunksParts:
         "bad_row": mixed_table({21: "abc,0.5,0,Benign\n"}, n=40),
         "short_row": mixed_table({21: "0.25\n"}, n=40),
         "no_final_newline": mixed_table({}, n=30)[:-1],
+        "no_category": mixed_table({21: "0.25,0.5,0\n"}, n=40),
+        "one_more_cell": mixed_table({21: "0.25,0.5,0,Benign,x\n"}, n=40),
+        "no_category_here": mixed_table({25: "0.25,0.5,0\n"}, n=40),
+        "one_more_cell_here": mixed_table({25: "0.25,0.5,0,Benign,\n"}, n=40),
+        "quoted_then_no_category": mixed_table(
+            {13: '0.25,"0.5",0,Benign\n', 21: "0.25,0.5,0\n"}, n=40
+        ),
+        "quoted_then_one_more_cell": mixed_table(
+            {13: '0.25,"0.5",0,Benign\n', 21: "0.25,0.5,0,Benign,x\n"}, n=40
+        ),
     }
+    # The tables that score and load_csv stop at, at row 21 or 25.
+    BAD = {name for name in TABLES if name not in ("clean", "crlf", "quoted", "no_final_newline")}
 
     def table(self, tmp_path, name):
         p = tmp_path / "d.csv"
@@ -668,7 +693,7 @@ class TestReadChunksParts:
             assert len(pids) == 2 * (cores - 1)
             assert_reaped(pids)
         assert results[2] == results[1] and results[3] == results[1]
-        assert results[1][1] == (3 if name in ("bad_row", "short_row") else 0)
+        assert results[1][1] == (3 if name in self.BAD else 0)
 
     @pytest.mark.parametrize("cores, here", [(1, 10), (2, 5), (3, 4)])
     def test_workers_parse_the_chunks_they_own(self, tmp_path, monkeypatch, cores, here):
@@ -701,7 +726,7 @@ class TestReadChunksParts:
         assert_reaped(pids)
 
     @pytest.mark.parametrize("cores", [2, 3])
-    @pytest.mark.parametrize("name", ["clean", "bad_row"])
+    @pytest.mark.parametrize("name", sorted(["clean", *BAD]))
     def test_a_failed_worker_changes_nothing(
         self, ab_model, tmp_path, monkeypatch, failing_workers, cores, name
     ):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ class TestSharedNetwork:
         n_folds = len(reports[0]["folds"])
         assert sum(k for k, _ in calls) == n_folds == (4 if protocol == "kfold" else 1)
         assert len({n for _, n in calls}) == len(calls)
+
+    def test_folds_of_two_training_sizes_score_with_their_own_fits(self, monkeypatch):
+        # the pinned table's 270 benign rows in 4 folds train on 202 or 203
+        ds = data.load_csv(Path(__file__).parent / "pinned" / "flows.csv")
+        folds = benign_folds(ds.labels, 4, 0)
+        assert [ds.n_benign - len(f) for f in folds] == [202, 202, 203, 203]
+        recorded = []
+
+        def doc(*args):
+            recorded.append(evaluation.fit_doc(*args))
+            return recorded[-1]
+
+        monkeypatch.setitem(evaluation.DETECTORS, "doc", doc)
+        evaluate(ds, ["doc"], self.config, k=4, seed=0)
+        monkeypatch.undo()
+        attack = np.flatnonzero(ds.labels == 1)
+        assert len(recorded) == 4
+        for i, (train_scores, test_scores) in enumerate(recorded):
+            train_idx = np.concatenate(folds[:i] + folds[i + 1 :])
+            (model,) = pipeline.fit(self.config, ds.rows, [train_idx], ds.columns)
+            test_rows = ds.rows[np.concatenate([folds[i], attack])]
+            assert np.array_equal(train_scores, pipeline.score_batch(model, ds.rows[train_idx]))
+            assert np.array_equal(test_scores, pipeline.score_batch(model, test_rows))
 
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_doc_and_svdd_embed_each_row_set_once_per_fold(

@@ -61,8 +61,8 @@ class TestFit:
 
 
 class TestStackedFit:
-    """``fit`` trains every training set in one stack; each model is the
-    one that fitting its set alone gives."""
+    """``fit`` trains the training sets of each length in one stack; each
+    model is the one that fitting its set alone gives."""
 
     cfg = SvddConfig(layer_dims=[6, 12, 4], epochs=4, batch_size=32, seed=3)
 
@@ -79,10 +79,31 @@ class TestStackedFit:
             pipeline.save(alone, tmp_path / f"alone{i}")
             assert (tmp_path / f"stacked{i}").read_bytes() == (tmp_path / f"alone{i}").read_bytes()
 
+    def test_sets_of_any_lengths_give_each_set_fitted_alone(
+        self, small_model, tmp_path, monkeypatch
+    ):
+        _, ds = small_model
+        benign = np.random.default_rng(8).permutation(np.flatnonzero(ds.labels == 0))
+        sets = [benign[:5], benign[5:9], benign[9:14]]
+        shapes, train = [], svdd.train
+
+        def recorded(config, stack):
+            shapes.append(stack.shape)
+            return train(config, stack)
+
+        monkeypatch.setattr(svdd, "train", recorded)
+        stacked = pipeline.fit(self.cfg, ds.rows, sets, ds.columns, bins=3)
+        # one stack per length, in the order the lengths first appear
+        assert shapes == [(2, 5, 6), (1, 4, 6)]
+        assert len(stacked) == 3
+        for i, (model, idx) in enumerate(zip(stacked, sets)):
+            (alone,) = pipeline.fit(self.cfg, ds.rows, [idx], ds.columns, bins=3)
+            pipeline.save(model, tmp_path / f"stacked{i}")
+            pipeline.save(alone, tmp_path / f"alone{i}")
+            assert (tmp_path / f"stacked{i}").read_bytes() == (tmp_path / f"alone{i}").read_bytes()
+
     @pytest.mark.parametrize(
-        "sets, message",
-        [([], r"got lengths \[\]"), ([np.arange(5), np.arange(4)], r"got lengths \[5, 4\]")],
-        ids=["empty", "unequal"],
+        "sets, message", [([], "need one or more training sets, got none")], ids=["empty"]
     )
     def test_bad_training_sets_are_rejected_before_training(
         self, small_model, monkeypatch, sets, message
