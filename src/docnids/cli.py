@@ -257,7 +257,8 @@ def cmd_report(args) -> int:
         raise ValueError(f"cannot read {args.json}: {e}")
     except UnicodeDecodeError as e:
         raise DataError(f"{args.json}: not UTF-8 text ({e.reason})")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: arrays or objects nested past the parser's limit
         raise DataError(f"{args.json}: not a valid report file: {e}")
     entries = payload.get("reports", []) if isinstance(payload, dict) else None
     if not isinstance(entries, list):

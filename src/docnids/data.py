@@ -80,9 +80,17 @@ def feature_indices(
     """Indices of the feature columns: every column except those named
     ``label_column`` or ``category_column`` and those named in ``drop``.
     Training and scoring both select columns by this rule, so a model's
-    schema hash matches the columns the scorer reads."""
+    schema hash matches the columns the scorer reads. A header cell with
+    no name, or a header that leaves no feature column, is a DataError."""
+    if "" in header:
+        raise DataError(f"header cell {header.index('')} (counting from 0) has no name")
     skip = {label_column, category_column, *drop}
-    return [i for i, name in enumerate(header) if name not in skip]
+    feature_idx = [i for i, name in enumerate(header) if name not in skip]
+    if not feature_idx:
+        raise DataError(
+            "no feature column left: the header holds only label, category and dropped columns"
+        )
+    return feature_idx
 
 
 def load_csv(
@@ -387,18 +395,30 @@ def fit_scaler(train: np.ndarray) -> ScalerParams:
 def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Affine map to [0, 1] with clamping; constant features map to 0.
 
-    The result goes into ``out`` if given.
+    ``data`` must be a finite (n, d) matrix, or DataError: ``pipeline.fit``,
+    ``pipeline.score_batch`` and ``evaluation.evaluate`` scale every row
+    here before they use it. The result goes into ``out`` if given.
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.shape[-1] != len(p.mins):
+    if data.ndim != 2:
+        raise DataError(f"rows must be an (n, d) matrix, got shape {data.shape}")
+    if data.shape[1] != len(p.mins):
         raise DataError(
-            f"data has {data.shape[-1]} features, scaler expects {len(p.mins)}"
+            f"data has {data.shape[1]} features, scaler expects {len(p.mins)}"
         )
-    span = p.maxs - p.mins
-    safe = np.where(span > 0.0, span, 1.0)
-    # a value near the float64 limit overflows to +-inf, which the clip
-    # below maps to 1 or 0; nothing to warn about
+    if not np.isfinite(data).all():
+        raise DataError("rows hold a value that is not finite (NaN or infinity)")
+    # a range past the float64 limit cannot be scaled; a value near the
+    # limit overflows to +-inf, which the clip below maps to 1 or 0
     with np.errstate(over="ignore"):
+        span = p.maxs - p.mins
+        if not np.isfinite(span).all():
+            j = np.flatnonzero(~np.isfinite(span))[0]
+            raise DataError(
+                f"feature {j} ranges from {float(p.mins[j])!r} to {float(p.maxs[j])!r},"
+                " further than a float64 holds"
+            )
+        safe = np.where(span > 0.0, span, 1.0)
         scaled = (data - p.mins) / safe
     scaled[..., span == 0.0] = 0.0
     return np.clip(scaled, 0.0, 1.0, out=out)

@@ -262,8 +262,9 @@ def evaluate(
         raise DataError("evaluation needs both benign and attack rows")
     config = config or SvddConfig()
     echo = {
-        # resolving the dims checks them against the data
-        "layer_dims": config.resolve_dims(ds.rows.shape[1]), "epochs": config.epochs,
+        # resolving the dims checks them against the data; rows that are
+        # not a finite (n, d) matrix fail in apply_scaler
+        "layer_dims": config.resolve_dims(ds.rows.shape[-1]), "epochs": config.epochs,
         "batch_size": config.batch_size, "lr": config.lr, "weight_decay": config.weight_decay,
         "bins": bins, "contamination": contamination, "seed": seed, "protocol": protocol,
         "detectors": list(detectors),

@@ -66,21 +66,34 @@ def fit(
     scaler fitted on them into the (k, n, d) stack of the sets of its
     length, which one ``svdd.train`` call trains and which is then freed,
     in the order the lengths first appear. Each set's histograms and
-    threshold are fitted on its rows scaled again and embedded."""
+    threshold are fitted on its rows scaled again and embedded.
+
+    An empty set or an index outside [0, len(rows)) is a ValueError
+    before any training; rows that are not a finite (n, d) matrix are a
+    DataError from ``apply_scaler``."""
     check_contamination(contamination)
     hbos.check_bins(bins)
     if not train_sets:
         raise ValueError("need one or more training sets, got none")
+    for k, idx in enumerate(map(np.asarray, train_sets)):
+        if not (
+            idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
+            and 0 <= idx.min() and idx.max() < len(rows)
+        ):
+            raise ValueError(
+                f"training set {k} must be a non-empty array of row indices in [0, {len(rows)})"
+            )
     scalers, networks = {}, {}
     for n in dict.fromkeys(map(len, train_sets)):
         members = [i for i, idx in enumerate(train_sets) if len(idx) == n]
-        stack = np.empty((len(members), n, rows.shape[1]))
-        for x, i in zip(stack, members):
+        for j, i in enumerate(members):
             raw = rows[train_sets[i]]
             scalers[i] = fit_scaler(raw)
-            apply_scaler(scalers[i], raw, out=x)
-        # x views the stack: free both before the next stack or any embedding
-        del x, raw
+            if j == 0:
+                # raw's shape, so that rows of any shape reach apply_scaler's check
+                stack = np.empty((len(members), *raw.shape))
+            apply_scaler(scalers[i], raw, out=stack[j])
+        del raw
         networks.update(zip(members, svdd.train(config, stack)))
         del stack
     models = []

@@ -789,6 +789,15 @@ class TestReport:
         bad.write_text("{not json")
         assert run(["report", "--json", str(bad)]) == 3
 
+    @pytest.mark.parametrize("bracket", ["[", '{"reports": ['])
+    def test_json_nested_past_the_parsers_limit_exits_3(self, tmp_path, capsys, bracket):
+        deep = tmp_path / "deep.json"
+        deep.write_text(bracket * 100_000)
+        assert run(["report", "--json", str(deep)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {deep}: not a valid report file: maximum recursion depth")
+
     @pytest.mark.parametrize(
         "case", ["missing_key", "top_level_list", "reports_not_a_list", "summary_missing_metric"]
     )
@@ -892,6 +901,39 @@ class TestErrorExits:
             assert out == "".join(good_out[: 1 + index])
         else:
             assert err == f"error: {flows}: unparseable rows at indices {index}\n"
+
+    # How each line i of the pinned table is edited, the --drop-columns
+    # flag, and the one line every command that reads the table exits 3 with.
+    HEADERS = {
+        # every line ends in a comma
+        "empty_last_cell": (
+            lambda i, line: line[:-1] + ",\n", None,
+            "header cell 8 (counting from 0) has no name",
+        ),
+        # pandas.DataFrame.to_csv writes its row index in an unnamed column
+        "row_index": (
+            lambda i, line: f"{i - 1 if i else ''},{line}", None,
+            "header cell 0 (counting from 0) has no name",
+        ),
+        "every_feature_dropped": (
+            lambda i, line: line, "f0,f1,f2,f3,f4,f5",
+            "no feature column left: the header holds only label, category and dropped columns",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HEADERS))
+    @pytest.mark.parametrize("command", ["train", "evaluate", "score"])
+    def test_a_header_without_a_usable_feature_exits_3(
+        self, model_file, tmp_path, capsys, command, case
+    ):
+        edit, drop, message = self.HEADERS[case]
+        lines = (Path(__file__).parent / "pinned" / "flows.csv").read_text().splitlines(True)
+        flows = tmp_path / "flows.csv"
+        flows.write_text("".join(edit(i, line) for i, line in enumerate(lines)))
+        argv = _argv(command, flows, tmp_path, model_file)
+        assert run(argv + (["--drop-columns", drop] if drop else [])) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "m.doc").exists()
 
     @pytest.mark.parametrize("where", ["header", "late_row"])
     @pytest.mark.parametrize("command", ["train", "evaluate", "score", "report"])
@@ -1009,6 +1051,33 @@ class TestErrorExits:
         assert code == 2
         assert err.startswith(f"error: cannot write {folder}: ") and err.count("\n") == 1
         assert list(folder.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_feature_range_past_the_float64_limit_exits_3(self, tmp_path, capsys, command):
+        # each value is finite, but max - min of feature a overflows
+        flows = tmp_path / "flows.csv"
+        rows = [f"{a},{i / 10},{int(i >= 8)}\n" for i, a in enumerate(["1e308", "-1e308"] * 5)]
+        flows.write_text("a,b,Label\n" + "".join(rows))
+        flags = {"train": ["--out", str(tmp_path / "m.doc")], "evaluate": ["--detectors", "hbos"]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([command, "--input", str(flows), "--epochs", "1", *flags[command]])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: feature 0 ranges from -1e+308 to 1e+308, further than a float64 holds\n"
+        )
+        assert [str(w.message) for w in caught] == []
+
+    def test_a_bin_count_past_the_address_space_exits_2(self, dataset_csv, tmp_path, capsys):
+        # not patched: 10**15 bins for each of 8 embedding dims is more
+        # than a 64-bit address space holds, so the allocation fails at once
+        model = tmp_path / "m.doc"
+        argv = ["train", "--input", str(dataset_csv), "--out", str(model), "--epochs", "1"]
+        assert run(argv + ["--bins", "1000000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory (") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not model.exists()
 
 
 FLAG_ERROR_SITES = [
@@ -1159,3 +1228,67 @@ class TestSeedEnv:
         )
         # the seed's default is read from DOC_SEED when the command runs
         assert args.seed == 77 or cli._default_seed() == 77
+
+
+def run_child(argv, python_flags=(), one_cpu=False):
+    """``python -m docnids.cli`` on ``argv`` in a child process, as the
+    installed ``docnids`` script runs it. With ``one_cpu``, its affinity
+    mask holds one CPU only, as under ``taskset -c 0``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    cpu = min(os.sched_getaffinity(0))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "docnids.cli", *argv],
+        capture_output=True, env=env, timeout=120,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu else None,
+    )
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+class TestChildProcesses:
+    """The commands as child processes on the machine's real cores. On two
+    or more usable cores, ``synth`` (save_csv), ``score`` (read_chunks on
+    a table past one chunk) and ``evaluate`` (svdd.train on a fold stack)
+    fork workers here."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, model_file, tmp_path_factory):
+        """The commands on a 300-row table on every usable core, with the
+        DeprecationWarning that Python 3.12 and later give when a process
+        with threads forks made an error. Row 278 of ``flows_bad.csv`` is
+        in a worker's chunk and has no float in its first cell."""
+        d = tmp_path_factory.mktemp("children")
+        flows, bad = d / "flows.csv", d / "flows_bad.csv"
+        synth = ["synth", "--benign", "270", "--attack", "30", "--dims", "6", "--seed", "1"]
+        errors = ["-W", "error::DeprecationWarning"]
+        runs = {"synth": run_child([*synth, "--out", str(flows)], errors)}
+        assert runs["synth"].returncode == 0, runs["synth"].stderr.decode()
+        lines = flows.read_text().splitlines(keepends=True)
+        assert len(lines) == 301 and 1 + 278 > data.CHUNK_ROWS
+        lines[1 + 278] = "abc," + lines[1 + 278].split(",", 1)[1]
+        bad.write_text("".join(lines))
+        for name, table in [("score", flows), ("score_bad", bad)]:
+            argv = ["score", "--model", str(model_file), "--input", str(table)]
+            runs[name] = run_child(argv, errors)
+        evaluate = ["evaluate", "--input", str(flows), "--k", "3", "--epochs", "2"]
+        runs["evaluate"] = run_child(evaluate, errors)
+        return d, synth, runs
+
+    def test_forking_warns_of_nothing(self, runs):
+        d, _, runs = runs
+        bad_row = f"error: {d / 'flows_bad.csv'}: unparseable row at index 278\n"
+        assert {name: (r.returncode, r.stderr.decode()) for name, r in runs.items()} == {
+            "synth": (0, ""), "score": (0, ""), "score_bad": (3, bad_row), "evaluate": (0, ""),
+        }
+
+    def test_one_cpu_writes_the_same_bytes(self, runs, model_file):
+        d, synth, runs = runs
+        one_cpu = d / "flows_one_cpu.csv"
+        assert run_child([*synth, "--out", str(one_cpu)], one_cpu=True).returncode == 0
+        assert one_cpu.read_bytes() == (d / "flows.csv").read_bytes()
+        for name, table in [("score", "flows.csv"), ("score_bad", "flows_bad.csv")]:
+            argv = ["score", "--model", str(model_file), "--input", str(d / table)]
+            child = run_child(argv, one_cpu=True)
+            assert (child.returncode, child.stdout, child.stderr) == (
+                runs[name].returncode, runs[name].stdout, runs[name].stderr
+            )

@@ -73,7 +73,8 @@ class TestLoadCsv:
 def per_row_load(path, label_column="Label", drop_columns=(), category_column="Attack"):
     """Oracle: the row-by-row csv.reader + float() parse that load_csv's
     whole-table path must reproduce exactly. A row is bad unless it has
-    as many cells as the header."""
+    as many cells as the header; a header cell with no name, or a header
+    that leaves no feature column, is an error."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader)
@@ -81,6 +82,13 @@ def per_row_load(path, label_column="Label", drop_columns=(), category_column="A
         cat_idx = header.index(category_column) if category_column in header else None
         skip = {label_column, category_column, *drop_columns}
         feature_idx = [i for i, name in enumerate(header) if name not in skip]
+        for i, name in enumerate(header):
+            if not name:
+                raise DataError(f"header cell {i} (counting from 0) has no name")
+        if not feature_idx:
+            raise DataError(
+                "no feature column left: the header holds only label, category and dropped columns"
+            )
         rows, labels, categories, bad_rows = [], [], [], []
         for rownum, rec in enumerate(reader):
             try:
@@ -148,6 +156,10 @@ LOAD_CASES = {
     "text_labels": "a,Label\n1,Benign\n2, benign\n3,Exploits\n4,1\n",
     "dropped_column": "IPV4_SRC_ADDR,a,Label\n10.0.0.1,1,0\n10.0.0.2,2,1\n",
     "no_feature_columns": "IPV4_SRC_ADDR,Label\n10.0.0.1,0\n10.0.0.2,1\n",
+    "unnamed_last_column": "a,b,Label,\n1,2,0,\n3,4,1,\n",
+    "unnamed_index_column": ",a,b,Label\n0,1,2,0\n1,3,4,1\n",
+    "unnamed_columns": "a,,,Label\n1,2,3,0\n",
+    "label_and_category_only": "Label,Attack\n0,Benign\n1,DoS\n",
     "many_bad_rows": "a,Label\n" + "x,0\n" * 25 + "1,0\n",
     "header_line_break": 'a,"b\nc",Label\n1,2,0\n3,4,1\n',
     "ascii_separator": "a,b,Label\n\x1c1,2,0\n3,4,1\n",
@@ -892,6 +904,28 @@ class TestScaler:
         p = data.fit_scaler(np.zeros((2, 3)))
         with pytest.raises(DataError):
             data.apply_scaler(p, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_value_that_is_not_finite_is_a_data_error(self, value):
+        p = data.fit_scaler(np.zeros((2, 3)))
+        rows = np.ones((4, 3))
+        rows[2, 1] = value
+        with pytest.raises(DataError, match=r"^rows hold a value that is not finite"):
+            data.apply_scaler(p, rows)
+
+    def test_a_range_past_the_float64_limit_is_a_data_error(self):
+        big = np.finfo(np.float64).max
+        p = data.fit_scaler(np.array([[0.0, -big], [1.0, big]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^feature 1 ranges from -1\.79.*e\+308 to"):
+                data.apply_scaler(p, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1, 3), ()])
+    def test_rows_that_are_not_a_matrix_are_a_data_error(self, shape):
+        p = data.fit_scaler(np.zeros((2, 3)))
+        with pytest.raises(DataError, match=r"^rows must be an \(n, d\) matrix, got shape"):
+            data.apply_scaler(p, np.zeros(shape))
 
 
 class TestSplitBenign:

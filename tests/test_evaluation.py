@@ -333,6 +333,18 @@ class TestSharedNetwork:
             (alone,) = evaluate(small_ds, [name], self.config, **kwargs)
             assert report_json(report) == report_json(alone)
 
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_reports_do_not_depend_on_the_detector_order(self, small_ds, protocol):
+        names = ["doc", "svdd", "hbos", "pca"]
+
+        def report_jsons(names):
+            reports = evaluate(small_ds, names, self.config, bins=6, seed=3, **PROTOCOLS[protocol])
+            for r in reports:
+                del r["wall_seconds"], r["config"]["detectors"]
+            return reports
+
+        assert report_jsons(names[::-1]) == report_jsons(names)[::-1]
+
 
 class TestNetworkDetectorsMatchTheirScorers:
     """The evaluated ``doc`` and ``svdd`` are the shipped scorers: one

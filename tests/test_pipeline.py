@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from docnids import data, hbos, pipeline, svdd
-from docnids.errors import ModelFormatError, SchemaMismatchError
+from docnids import data, evaluation, hbos, pipeline, svdd
+from docnids.errors import DataError, ModelFormatError, SchemaMismatchError
 from docnids.svdd import SvddConfig
 
 
@@ -103,7 +103,15 @@ class TestStackedFit:
             assert (tmp_path / f"stacked{i}").read_bytes() == (tmp_path / f"alone{i}").read_bytes()
 
     @pytest.mark.parametrize(
-        "sets, message", [([], "need one or more training sets, got none")], ids=["empty"]
+        "sets, message",
+        [
+            ([], "need one or more training sets, got none"),
+            ([np.arange(5), np.array([0, 450])], r"training set 1 must be .* in \[0, 450\)"),
+            ([np.array([-1, 3])], r"training set 0 must be .* in \[0, 450\)"),
+            ([np.array([], dtype=np.int64)], "training set 0 must be a non-empty array"),
+            ([np.array([0.0, 1.0])], "training set 0 must be a non-empty array of row indices"),
+        ],
+        ids=["empty", "past_the_rows", "negative", "empty_set", "not_integers"],
     )
     def test_bad_training_sets_are_rejected_before_training(
         self, small_model, monkeypatch, sets, message
@@ -118,11 +126,67 @@ class TestStackedFit:
             pipeline.fit(self.cfg, ds.rows, sets, ds.columns)
 
 
+class TestRowsThatAreNotAFiniteMatrix:
+    """``fit``, ``score_batch`` and ``evaluate`` reject rows that hold NaN
+    or an infinity, or that are not an (n, d) matrix, as DataError: each
+    scales its rows with ``data.apply_scaler`` first. The CLI never gets
+    here, because ``read_chunks`` rejects such rows as it reads them."""
+
+    cfg = SvddConfig(epochs=2, batch_size=64, seed=2)
+    VALUES = {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}
+    CASES = [*VALUES, "one_row_as_a_vector", "stacked"]
+
+    def bad_rows(self, rows, case, where):
+        """``rows`` made bad as ``case`` says (a value goes into the rows
+        ``where`` selects), and the text of the error they raise."""
+        if case == "one_row_as_a_vector":
+            return rows[..., 0], r"got shape \(\d+,\)"
+        if case == "stacked":
+            return rows[:, None, :], r"got shape \(\d+, 1, 6\)"
+        rows = rows.copy()
+        rows[where, 2] = self.VALUES[case]
+        return rows, "not finite"
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_score_batch(self, small_model, case):
+        model, ds = small_model
+        rows, message = self.bad_rows(ds.rows[:10], case, [3])
+        with pytest.raises(DataError, match=message):
+            pipeline.score_batch(model, rows)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fit_before_training(self, small_model, monkeypatch, case):
+        _, ds = small_model
+
+        def no_training(config, stack):
+            raise AssertionError("trained on bad rows")
+
+        monkeypatch.setattr(svdd, "train", no_training)
+        rows, message = self.bad_rows(ds.rows, case, [7])
+        with pytest.raises(DataError, match=message):
+            pipeline.fit(self.cfg, rows, [np.arange(20)], ds.columns)
+
+    # a bad value in the benign rows is met in a fold's training rows, and
+    # one in the attack rows in its test rows
+    @pytest.mark.parametrize("detectors", [["hbos"], ["doc"]])
+    @pytest.mark.parametrize(
+        "case, label",
+        [("nan", 0), ("inf", 1), ("minus_inf", 0), ("one_row_as_a_vector", 0), ("stacked", 0)],
+    )
+    def test_evaluate(self, small_model, case, label, detectors):
+        _, ds = small_model
+        rows, message = self.bad_rows(ds.rows, case, ds.labels == label)
+        with pytest.raises(DataError, match=message):
+            evaluation.evaluate(
+                dataclasses.replace(ds, rows=rows), detectors, self.cfg, k=2
+            )
+
+
 class TestScoreAndClassify:
     def test_composition_exactness(self, small_model, rng):
         model, _ = small_model
         x = rng.uniform(size=6)
-        scaled = data.apply_scaler(model.scaler, x)
+        scaled = data.apply_scaler(model.scaler, x[None])[0]
         z = svdd.embed_batch(model.svdd, scaled[None])[0]
         assert (
             pipeline.score_batch(model, x[None])[0]
