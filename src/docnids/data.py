@@ -385,11 +385,23 @@ def save_csv(ds: LabeledDataset, path, label_column: str = "Label") -> None:
 
 
 def fit_scaler(train: np.ndarray) -> ScalerParams:
-    """Per-feature min/max, fitted on benign training rows only."""
+    """Per-feature min/max, fitted on benign training rows only. A feature
+    whose range (max - min) is past the float64 limit cannot be scaled:
+    DataError."""
     train = np.asarray(train, dtype=np.float64)
     if train.size == 0:
         raise DataError("cannot fit scaler on empty data")
-    return ScalerParams(mins=train.min(axis=0), maxs=train.max(axis=0))
+    mins, maxs = train.min(axis=0), train.max(axis=0)
+    # finite ends only: a NaN or an infinity in the rows is apply_scaler's to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        over = np.isinf(maxs - mins) & np.isfinite(mins) & np.isfinite(maxs)
+    if over.any():
+        j = np.flatnonzero(over)[0]
+        raise DataError(
+            f"feature {j} ranges from {float(mins.flat[j])!r} to {float(maxs.flat[j])!r},"
+            " further than a float64 holds"
+        )
+    return ScalerParams(mins=mins, maxs=maxs)
 
 
 def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -408,17 +420,11 @@ def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = Non
         )
     if not np.isfinite(data).all():
         raise DataError("rows hold a value that is not finite (NaN or infinity)")
-    # a range past the float64 limit cannot be scaled; a value near the
-    # limit overflows to +-inf, which the clip below maps to 1 or 0
+    span = p.maxs - p.mins
+    safe = np.where(span > 0.0, span, 1.0)
+    # a value near the float64 limit overflows to +-inf, which the clip
+    # below maps to 1 or 0; nothing to warn about
     with np.errstate(over="ignore"):
-        span = p.maxs - p.mins
-        if not np.isfinite(span).all():
-            j = np.flatnonzero(~np.isfinite(span))[0]
-            raise DataError(
-                f"feature {j} ranges from {float(p.mins[j])!r} to {float(p.maxs[j])!r},"
-                " further than a float64 holds"
-            )
-        safe = np.where(span > 0.0, span, 1.0)
         scaled = (data - p.mins) / safe
     scaled[..., span == 0.0] = 0.0
     return np.clip(scaled, 0.0, 1.0, out=out)

@@ -86,14 +86,13 @@ def fit(
     scalers, networks = {}, {}
     for n in dict.fromkeys(map(len, train_sets)):
         members = [i for i, idx in enumerate(train_sets) if len(idx) == n]
-        for j, i in enumerate(members):
+        stack = np.empty((len(members), n, rows.shape[-1]))
+        for x, i in zip(stack, members):
             raw = rows[train_sets[i]]
             scalers[i] = fit_scaler(raw)
-            if j == 0:
-                # raw's shape, so that rows of any shape reach apply_scaler's check
-                stack = np.empty((len(members), *raw.shape))
-            apply_scaler(scalers[i], raw, out=stack[j])
-        del raw
+            apply_scaler(scalers[i], raw, out=x)
+        # x views the stack: free both before the next stack or any embedding
+        del x, raw
         networks.update(zip(members, svdd.train(config, stack)))
         del stack
     models = []
@@ -225,6 +224,10 @@ def load(path) -> DocModel:
     threshold, contamination = r.unpack("<dd")
     if r.pos != len(r.buf):
         raise ModelFormatError("trailing bytes after model payload")
+    # a checksum that matches does not make the values usable: NaN compares false
+    values = [*layers, center, mins, maxs, lo, hi, heights, np.array([threshold, contamination])]
+    if not all(np.isfinite(v).all() for v in values):
+        raise ModelFormatError("model file holds a value that is not finite")
     params = MlpParams(
         layers=layers, activation=_ACTIVATION_BY_CODE[act_code], layer_dims=dims
     )

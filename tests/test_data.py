@@ -915,11 +915,17 @@ class TestScaler:
 
     def test_a_range_past_the_float64_limit_is_a_data_error(self):
         big = np.finfo(np.float64).max
-        p = data.fit_scaler(np.array([[0.0, -big], [1.0, big]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=r"^feature 1 ranges from -1\.79.*e\+308 to"):
-                data.apply_scaler(p, np.zeros((1, 2)))
+                data.fit_scaler(np.array([[0.0, -big], [1.0, big]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_value_that_is_not_finite_is_left_to_apply_scaler(self, value):
+        rows = np.array([[0.0, value], [1.0, 2.0]])
+        p = data.fit_scaler(rows)
+        with pytest.raises(DataError, match=r"^rows hold a value that is not finite"):
+            data.apply_scaler(p, rows)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 1, 3), ()])
     def test_rows_that_are_not_a_matrix_are_a_data_error(self, shape):

@@ -314,6 +314,31 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=f"unsupported model format version {version}$"):
             pipeline.load(path)
 
+    @pytest.mark.parametrize("field", ["threshold", "scaler_min", "weight", "heights"])
+    def test_a_value_that_is_not_finite_is_refused(self, small_model, tmp_path, field):
+        # the checksum is written over the bad value, so it matches
+        model, _ = small_model
+        nan = float("nan")
+        if field == "threshold":
+            model = dataclasses.replace(model, threshold=nan)
+        elif field == "scaler_min":
+            mins = model.scaler.mins.copy()
+            mins[2] = nan
+            model = dataclasses.replace(model, scaler=dataclasses.replace(model.scaler, mins=mins))
+        elif field == "weight":
+            layers = [w.copy() for w in model.svdd.params.layers]
+            layers[0][0, 0] = np.inf
+            params = dataclasses.replace(model.svdd.params, layers=layers)
+            model = dataclasses.replace(model, svdd=dataclasses.replace(model.svdd, params=params))
+        else:
+            heights = model.hist.heights.copy()
+            heights[0, 0] = -np.inf
+            model = dataclasses.replace(model, hist=dataclasses.replace(model.hist, heights=heights))
+        path = tmp_path / "m.doc"
+        pipeline.save(model, path)
+        with pytest.raises(ModelFormatError, match="^model file holds a value that is not finite$"):
+            pipeline.load(path)
+
     def test_schema_mismatch_refused(self, small_model):
         model, ds = small_model
         with pytest.raises(SchemaMismatchError):
