@@ -77,7 +77,10 @@ def bin_index(lo: np.ndarray, width: np.ndarray, k: int, z: np.ndarray) -> np.nd
     of ``width`` from ``lo``, half-open but the last; out-of-range values
     clamp to the edge bins, and a zero ``width`` puts all in bin 0."""
     safe_w = np.where(width > 0.0, width, 1.0)
-    idx = np.floor((z - lo) / safe_w).astype(np.int64)
+    # one float array, scaled in place, and the int one made from it
+    t = np.subtract(z, lo)
+    t /= safe_w
+    idx = np.floor(t, out=t).astype(np.int64)
     # in place: np.clip on an int array with int bounds builds two iinfo per call
     np.maximum(idx, 0, out=idx)
     np.minimum(idx, k - 1, out=idx)
@@ -100,5 +103,6 @@ def hbos_scores(
     d, k = heights.shape
     idx = bin_index(lo, width, k, z)
     h = heights[np.arange(d)[None, :], idx]
+    np.maximum(h, floor, out=h)
     # 0.0 - sum, not -sum: a row in every tallest bin scores +0.0
-    return 0.0 - np.log(np.maximum(h, floor)).sum(axis=1)
+    return 0.0 - np.log(h, out=h).sum(axis=1)

@@ -409,7 +409,8 @@ def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = Non
 
     ``data`` must be a finite (n, d) matrix, or DataError: ``pipeline.fit``,
     ``pipeline.score_batch`` and ``evaluation.evaluate`` scale every row
-    here before they use it. The result goes into ``out`` if given.
+    here before they use it. The result goes into ``out`` if given, and
+    is scaled there in place: one array, ``data`` never written.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -425,9 +426,10 @@ def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = Non
     # a value near the float64 limit overflows to +-inf, which the clip
     # below maps to 1 or 0; nothing to warn about
     with np.errstate(over="ignore"):
-        scaled = (data - p.mins) / safe
+        scaled = np.subtract(data, p.mins, out=out)
+        scaled /= safe
     scaled[..., span == 0.0] = 0.0
-    return np.clip(scaled, 0.0, 1.0, out=out)
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def check_fraction(fraction: float) -> None:

@@ -250,7 +250,9 @@ def evaluate(
     trains on the other k-1 benign folds and tests on its own benign fold
     plus every attack row. ``holdout``: a single seeded benign train/test
     split with every attack row in the test set. Per fold, the scaler is
-    fitted and the rows scaled once, and every detector uses them.
+    fitted and the rows scaled once, and every detector uses them. Rows
+    that are not an (n, d) matrix with n labels are a DataError, raised
+    after the settings' checks and before any fold.
 
     If some detector uses the network, one ``pipeline.fit`` call fits
     the model ``train`` would ship for each fold. A report's
@@ -258,12 +260,18 @@ def evaluate(
     time, however many cores trained the folds."""
     # checked before any fold, whichever detectors run
     check_settings(detectors, protocol, k, train_fraction, contamination, bins)
+    rows, labels = np.shape(ds.rows), np.shape(ds.labels)
+    if len(rows) != 2 or labels != rows[:1]:
+        raise DataError(
+            f"rows must be an (n, d) matrix with n labels, got shape {rows}"
+            f" with labels of shape {labels}"
+        )
     if ds.n_attack == 0 or ds.n_benign == 0:
         raise DataError("evaluation needs both benign and attack rows")
     config = config or SvddConfig()
     echo = {
         # resolving the dims checks them against the data; rows that are
-        # not a finite (n, d) matrix fail in apply_scaler
+        # not finite fail in apply_scaler
         "layer_dims": config.resolve_dims(ds.rows.shape[-1]), "epochs": config.epochs,
         "batch_size": config.batch_size, "lr": config.lr, "weight_decay": config.weight_decay,
         "bins": bins, "contamination": contamination, "seed": seed, "protocol": protocol,

@@ -63,12 +63,34 @@ def init_params(
     return MlpParams(layers=layers, activation=activation, layer_dims=list(layer_dims))
 
 
+# Rows per block of a whole-set pass. BLAS may give a product of fewer
+# rows other last bits than the same rows inside a larger product, so no
+# block has fewer: the last one takes the remainder, BLOCK_ROWS to
+# 2 * BLOCK_ROWS - 1 rows. A blocked pass is then bit-equal to one pass
+# over the whole input, and allocates only its output and the buffers of
+# a block of each of the two sizes.
+BLOCK_ROWS = 256
+
+
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Map a (n, d) batch, or a (k, n, d) stack of batches, through the
-    network, preserving row order."""
+    network, preserving row order: in one pass below 2 * BLOCK_ROWS rows,
+    in blocks of rows from there."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.layer_dims[0]:
         raise ValueError(f"input batch has length {x.shape[-1]}, expected {params.layer_dims[0]}")
-    buf = backend.PassBuffers(params.layer_dims, x.shape[:-1], backward=False)
-    return backend.forward_pass(params.layers, x, params.activation.slope, buf)[-1]
-
+    dims, layers, slope = params.layer_dims, params.layers, params.activation.slope
+    n = x.shape[-2] if x.ndim > 1 else 1
+    if n < 2 * BLOCK_ROWS:
+        buf = backend.PassBuffers(dims, x.shape[:-1], backward=False)
+        return backend.forward_pass(layers, x, slope, buf)[-1]
+    starts = range(0, n - BLOCK_ROWS + 1, BLOCK_ROWS)
+    buffers = {
+        rows: backend.PassBuffers(dims, (*x.shape[:-2], rows), backward=False)
+        for rows in {BLOCK_ROWS, n - starts[-1]}
+    }
+    out = np.empty((*x.shape[:-1], dims[-1]))
+    for start, stop in zip(starts, [*starts[1:], n]):
+        acts = backend.forward_pass(layers, x[..., start:stop, :], slope, buffers[stop - start])
+        out[..., start:stop, :] = acts[-1]
+    return out

@@ -49,7 +49,27 @@ def check_contamination(contamination: float) -> None:
 
 
 def threshold_from_scores(scores: np.ndarray, contamination: float) -> float:
-    return float(np.quantile(scores, 1.0 - contamination, method="linear"))
+    """The (1 - contamination)-quantile of the scores, bit for bit as
+    ``np.quantile(scores, 1 - contamination, method="linear")`` gives it,
+    NaN if any score is NaN. It is taken here from ``np.partition``,
+    because ``np.quantile`` calls ``np.unique``, which imports all of
+    ``numpy.ma``."""
+    scores = np.ravel(scores).astype(np.float64, copy=False)
+    last = len(scores) - 1
+    # numpy's neighbours of the virtual index: its floor and the next
+    # index, or both -1 at or past the last index; the weight is the
+    # virtual index less the lower neighbour, -1 included
+    virtual = last * (1.0 - contamination)
+    lo = math.floor(virtual) if virtual < last else -1
+    hi = lo + 1 if lo >= 0 else -1
+    # numpy's own partition points, so the same values land where it reads
+    part = np.partition(scores, sorted({0, -1, lo, hi}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    a, b, t = float(part[lo]), float(part[hi]), virtual - lo
+    # numpy's lerp: from the nearer end, exact at t = 0 and t = 1
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
 def fit(

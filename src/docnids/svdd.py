@@ -72,19 +72,15 @@ def init_center(params: MlpParams, train: np.ndarray) -> np.ndarray:
     return c
 
 
-def _loss(diff: np.ndarray, layers: list[np.ndarray], weight_decay: float, sq=None):
+def _loss(diff: np.ndarray, theta: np.ndarray, weight_decay: float):
     """The training objective from the residuals ``diff = z - c`` of a
-    batch's embeddings: their mean squared distance to the center plus
-    the weight-decay term, weight_decay/2 times the sum of squared
-    weights. One value per stack member when ``diff`` is (k, n, m) and
-    each layer (k, out, in). ``sq``, if given, receives ``diff**2``.
-
-    ``.sum() / n`` is the same float as ``.mean()``, with fewer calls.
-    """
-    sq = np.square(diff, out=sq)
-    dist = sq.sum(axis=-1).sum(axis=-1) / diff.shape[-2]
-    reg = sum((w**2).sum(axis=(-2, -1)) for w in layers)
-    return dist + 0.5 * weight_decay * reg
+    batch's embeddings and the flat weights ``theta``: their mean squared
+    distance to the center plus the weight-decay term, weight_decay/2
+    times the sum of squared weights. One value per stack member when
+    ``diff`` is (k, n, m) and ``theta`` (k, P); each sum is one
+    contraction."""
+    dist = np.einsum("...ij,...ij->...", diff, diff) / diff.shape[-2]
+    return dist + 0.5 * weight_decay * np.einsum("...p,...p->...", theta, theta)
 
 
 def _layer_views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
@@ -108,9 +104,6 @@ class _BatchBuffers:
         # each member's center on every row, so the residual is a plain
         # elementwise subtraction
         self.centers = np.repeat(centers[:, None, :], nb, axis=1)
-        self.diff = np.empty_like(self.centers)
-        self.delta = np.empty_like(self.centers)
-        self.sq = np.empty_like(self.centers)
 
 
 def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
@@ -145,8 +138,10 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
         raise ValueError("training set is empty")
     k, n, d = stack.shape
     params = nn.init_params(config.resolve_dims(d), config.seed, config.activation)
-    # Before any fork: a worker's first large BLAS product would start the
-    # BLAS library's threads in it, to spin while both processes train.
+    # Before any fork: a BLAS product large enough to run threaded would
+    # start the BLAS library's threads in a worker, to spin while both
+    # processes train. init_center's products are blocks, which run on one
+    # thread unless the input or the first layer is wide.
     centers = np.stack([init_center(params, x) for x in stack])
 
     def train_range(a: int, b: int):
@@ -185,12 +180,16 @@ def _sgd(config: SvddConfig, params: MlpParams, stack: np.ndarray, centers: np.n
     The weights are one (m, P) buffer ``theta``, each layer a (m, out,
     in) view of it, and each product is one batched matmul whose m
     products are the ones a member trained alone would make. The gradient
-    is one (m, P) buffer ``grad`` with matching views; the weight decay,
-    the finite-gradient check and the step are one call each over all
-    members and layers: elementwise each layer's ``w - lr * (g +
-    weight_decay * w)``. Every batch-sized array is a buffer allocated
-    once per batch size (the last batch of an epoch may be shorter), so a
-    step allocates none. A diverged member's NaNs stay in its own slice
+    is one (m, P) buffer ``grad`` with matching views; the weight decay
+    and the step are one call each over all members and layers:
+    elementwise each layer's ``w - lr * (g + weight_decay * w)``. The loss
+    is one contraction over the residuals and one over ``theta``, and one
+    sum of the gradient and the losses checks them all for finiteness;
+    the members are checked one by one only when that sum is not finite.
+    Every batch-sized array is a buffer allocated once per batch size
+    (the last batch of an epoch may be shorter), and the residual and
+    dL/dz are written into the output layer's, so a step allocates no
+    batch-sized array. A diverged member's NaNs stay in its own slice
     while the others train on; training stops early only once member 0
     has failed, as no other member's error can then be the one raised.
     """
@@ -201,7 +200,6 @@ def _sgd(config: SvddConfig, params: MlpParams, stack: np.ndarray, centers: np.n
     grad = np.empty_like(theta)
     grads = _layer_views(grad, params.layers)
     step = np.empty_like(theta)  # weight_decay * theta, then lr * grad
-    finite = np.empty(theta.shape, dtype=bool)
 
     bs = min(config.batch_size, n)
     buffers = {nb: _BatchBuffers(dims, centers, nb) for nb in {bs, n % bs or bs}}
@@ -222,15 +220,19 @@ def _sgd(config: SvddConfig, params: MlpParams, stack: np.ndarray, centers: np.n
                 # the same rows as stack[:, idx], with less overhead per call
                 batch = stack.take(idx, axis=1, out=buf.x, mode="clip")
                 acts = backend.forward_pass(weights, batch, slope, buf.passes)
-                diff = np.subtract(acts[-1], buf.centers, out=buf.diff)
-                delta = np.multiply(diff, 2.0, out=buf.delta)
-                delta /= nb
-                backend.backward_pass(weights, acts, delta, grads, buf.passes)
-                loss = _loss(diff, weights, config.weight_decay, buf.sq)
+                # the residual, then dL/dz, in the output, which
+                # backward_pass does not read
+                diff = np.subtract(acts[-1], buf.centers, out=acts[-1])
+                loss = _loss(diff, theta, config.weight_decay)
+                diff *= 2.0
+                diff /= nb
+                backend.backward_pass(weights, acts, diff, grads, buf.passes)
                 grad += np.multiply(theta, config.weight_decay, out=step)
-                grad_ok = np.isfinite(grad, out=finite).all(axis=1)
-                loss_ok = np.isfinite(loss)
-                if not (loss_ok.all() and grad_ok.all()):
+                # any NaN or infinity makes the sum one; so may an overflow
+                # of finite values, which the members' own checks clear
+                if not math.isfinite(grad.sum() + loss.sum()):
+                    grad_ok = np.isfinite(grad).all(axis=1)
+                    loss_ok = np.isfinite(loss)
                     for i in np.flatnonzero(~(loss_ok & grad_ok)):
                         errors.setdefault(
                             int(i),

@@ -1244,6 +1244,35 @@ def run_child(argv, python_flags=(), one_cpu=False):
     )
 
 
+# Runs ``train`` and ``evaluate`` on the table argv[1] in a fresh
+# interpreter and prints their exit codes, and whether numpy.ma was
+# imported after numpy alone and after the runs.
+TRAIN_AND_EVALUATE = """
+import contextlib, io, sys
+import numpy
+with_numpy = "numpy.ma" in sys.modules
+from docnids import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    train = cli.main(["train", "--input", sys.argv[1], "--out", sys.argv[2], "--epochs", "2"])
+    evaluate = cli.main(["evaluate", "--input", sys.argv[1], "--k", "3", "--epochs", "2"])
+print(train, evaluate, with_numpy, "numpy.ma" in sys.modules)
+"""
+
+
+def test_train_and_evaluate_import_no_masked_arrays(dataset_csv, tmp_path):
+    """``np.quantile`` calls ``np.unique``, which imports all of
+    ``numpy.ma``; the threshold is taken without it. (numpy 1.x imports
+    ``numpy.ma`` with numpy itself.)"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", TRAIN_AND_EVALUATE, str(dataset_csv), str(tmp_path / "m.doc")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.stderr == ""
+    code_train, code_evaluate, with_numpy, after_runs = child.stdout.split()
+    assert (code_train, code_evaluate, after_runs) == ("0", "0", with_numpy)
+
+
 @needs_fork
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
 class TestChildProcesses:

@@ -15,6 +15,7 @@ machine can allocate, never sizes that would run long or fill memory.
 import contextlib
 import io
 import json
+import re
 import struct
 import warnings
 import zlib
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docnids import cli, data, evaluation, pipeline
-from docnids.errors import TrainingDivergedError
+from docnids.errors import DataError, TrainingDivergedError
 from docnids.svdd import SvddConfig
 
 # The errors a library entry point may raise on bad input.
@@ -345,3 +346,16 @@ class TestLibrary:
                 train_fraction=train_fraction, contamination=contamination, seed=0,
             )
             assert [r["detector"] for r in reports] == detectors
+
+    @pytest.mark.parametrize(
+        "rows_shape, labels_shape",
+        [((1, 70, 4), (70,)), ((450,), (450,)), ((70, 4), (69,)), ((70, 4), (70, 1))],
+        ids=["stacked_rows", "one_dim_rows", "a_label_short", "labels_in_a_column"],
+    )
+    def test_evaluate_names_shapes_it_cannot_pair(self, rows_shape, labels_shape):
+        rows = np.random.default_rng(0).uniform(size=rows_shape)
+        labels = np.arange(np.prod(labels_shape)).reshape(labels_shape) % 2
+        ds = data.LabeledDataset(["f0", "f1", "f2", "f3"], rows, labels)
+        shapes = f"got shape {rows_shape} with labels of shape {labels_shape}"
+        with pytest.raises(DataError, match=re.escape(shapes) + "$"):
+            evaluation.evaluate(ds, ["doc", "pca"], SvddConfig(layer_dims=[4, 2], epochs=1), k=2)

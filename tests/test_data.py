@@ -894,6 +894,21 @@ class TestScaler:
             out = data.apply_scaler(p, np.array([[big, big], [-big, -big]]))
         assert out.tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
+    @pytest.mark.parametrize("given_out", [False, True], ids=["new_array", "out"])
+    def test_writes_only_its_result(self, rng, given_out):
+        rows = rng.normal(size=(50, 4)) * 10
+        rows[:, 2] = 3.0  # a constant feature
+        p = data.fit_scaler(rows[:30])
+        before = rows.copy()
+        out = np.full_like(rows, np.nan) if given_out else None
+        scaled = data.apply_scaler(p, rows, out=out)
+        assert rows.tobytes() == before.tobytes()
+        assert scaled is out if given_out else not np.shares_memory(scaled, rows)
+        span = np.where(p.maxs > p.mins, p.maxs - p.mins, 1.0)
+        want = np.clip((rows - p.mins) / span, 0.0, 1.0)
+        want[:, 2] = 0.0
+        assert scaled.tobytes() == want.tobytes()
+
     def test_training_data_lands_in_unit_cube(self, rng):
         train = rng.normal(size=(30, 4)) * 10
         p = data.fit_scaler(train)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,55 @@ class TestForward:
         batch = nn.forward_batch(p, xs)
         for i in range(8):
             assert np.allclose(batch[i], nn.forward_batch(p, xs[i][None])[0], atol=1e-12)
+
+
+B = nn.BLOCK_ROWS
+
+
+class TestBlockedForward:
+    """A whole-set pass runs in blocks of B rows, the last taking the
+    remainder, and is bit-equal to one ``forward_pass`` over the whole
+    input; BLAS may give a product of fewer rows other last bits."""
+
+    @pytest.mark.parametrize("n", [1, B - 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B - 1, 4000])
+    @pytest.mark.parametrize(
+        "dims, lead",
+        [([16, 32, 8], ()), ([16, 32, 8], (3,)), ([39, 32, 8], ()), ([39, 64, 16, 8], (2,))],
+        ids=["16_features", "16_features_stacked", "39_features", "39_features_3_layers_stacked"],
+    )
+    def test_equals_one_pass(self, monkeypatch, n, dims, lead):
+        p = nn.init_params(dims, seed=1)
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, size=(*lead, n, dims[0]))
+        buf = backend.PassBuffers(dims, x.shape[:-1], backward=False)
+        whole = backend.forward_pass(p.layers, x, p.activation.slope, buf)[-1].copy()
+        blocks = []
+        real = backend.forward_pass
+
+        def forward_pass(weights, x, slope, buf):
+            blocks.append(x.shape[-2])
+            return real(weights, x, slope, buf)
+
+        monkeypatch.setattr(backend, "forward_pass", forward_pass)
+        got = nn.forward_batch(p, x)
+        assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+        assert blocks == ([B] * (n // B - 1) + [n - (n // B - 1) * B] if n >= 2 * B else [n])
+
+    def test_allocates_its_output_and_a_few_blocks(self):
+        p = nn.init_params([16, 32, 8], seed=0)
+        x = np.random.default_rng(0).uniform(size=(100_000, 16))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            z = nn.forward_batch(p, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # one pass over every row would allocate its 32 + 8 outputs and
+        # 32 activation factors a row, 57.6 MB; the largest block's
+        # buffers hold 2B - 1 rows of them
+        block = 2 * B * (32 + 8 + 32) * 8
+        assert z.nbytes == 6_400_000 and peak < z.nbytes + 2 * block
 
 
 SPECIAL_VALUES = np.array(

@@ -60,6 +60,32 @@ class TestFit:
         assert model.hist.dim == model.svdd.params.layer_dims[-1]
 
 
+class TestThresholdFromScores:
+    """The threshold is ``np.quantile``'s "linear" (1 - contamination)-
+    quantile bit for bit, on the numpy this runs on: a numpy that
+    interpolates otherwise fails here rather than moving thresholds."""
+
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "infinities", "nan"])
+    def test_equals_numpy_quantile(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for trial in range(400):
+            n = int(rng.integers(1, 12 if trial % 2 else 3000))
+            if kind == "ties":
+                scores = rng.integers(0, 4, size=n).astype(np.float64)
+            else:
+                scores = rng.normal(size=n)
+            if kind in ("infinities", "nan"):
+                hit = rng.random(n) < 0.2
+                special = [np.inf, -np.inf, np.nan][: 2 + (kind == "nan")]
+                scores[hit] = rng.choice(special, size=hit.sum())
+            # 1e-17 leaves 1 - contamination at 1.0: the last index
+            contamination = float(rng.choice([0.1, 0.05, 0.5, 0.999, 1e-17, rng.random()]))
+            with np.errstate(invalid="ignore"):  # numpy's lerp of inf and inf
+                want = float(np.quantile(scores, 1.0 - contamination, method="linear"))
+            got = pipeline.threshold_from_scores(scores, contamination)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (scores, contamination)
+
+
 class TestStackedFit:
     """``fit`` trains the training sets of each length in one stack; each
     model is the one that fitting its set alone gives."""

@@ -19,9 +19,14 @@ def identity_net(d):
     return MlpParams(layers=[np.eye(d)], activation=Activation.IDENTITY, layer_dims=[d, d])
 
 
+def flat(layers):
+    """The weights as svdd.train holds them: one flat vector."""
+    return np.concatenate([w.ravel() for w in layers])
+
+
 def objective(p, batch, c, weight_decay):
     """The loss svdd.train computes for one batch under the weights ``p``."""
-    return float(svdd._loss(nn.forward_batch(p, batch) - c, p.layers, weight_decay))
+    return float(svdd._loss(nn.forward_batch(p, batch) - c, flat(p.layers), weight_decay))
 
 
 class TestInitCenter:
@@ -193,6 +198,23 @@ class TestTrain:
         with pytest.raises(ValueError, match="non-finite gradient entries"):
             svdd.train(cfg, x[None])
 
+    def test_finite_gradient_whose_sum_overflows_trains_on(self, monkeypatch):
+        x = np.random.default_rng(1).uniform(size=(20, 4))
+        cfg = SvddConfig(layer_dims=[4, 3, 2], epochs=2, batch_size=8, lr=1e-300, seed=2)
+        real_backward_pass = backend.backward_pass
+        sums = []
+
+        def huge_gradients(weights, acts, delta, grads, buf):
+            real_backward_pass(weights, acts, delta, grads, buf)
+            grads[0].flat[:2] = np.finfo(np.float64).max
+            sums.append(sum(g.sum() for g in grads))
+
+        monkeypatch.setattr(backend, "backward_pass", huge_gradients)
+        (model,) = svdd.train(cfg, x[None])
+        assert len(sums) == 6 and all(np.isinf(s) for s in sums)
+        assert all(np.isfinite(w).all() for w in model.params.layers)
+        assert all(np.isfinite(loss) for _, loss in model.train_history)
+
 
 def reference_train(config, x):
     """svdd.train's epochs on one training set, with each layer stepped
@@ -208,11 +230,11 @@ def reference_train(config, x):
         for start in range(0, len(x), config.batch_size):
             batch = x[order[start : start + config.batch_size]]
             z = nn.forward_batch(params, batch)
-            # the loss of one 2-D batch as the single-set trainer summed it:
-            # each row's squares, then the rows
-            dist = ((z - c) ** 2).sum(axis=1).sum() / len(batch)
-            reg = 0.5 * config.weight_decay * sum(float((w**2).sum()) for w in params.layers)
-            loss = float(dist + reg)
+            # the loss of one 2-D batch as svdd._loss sums it: one
+            # contraction over the residuals and one over the flat weights
+            dist = np.einsum("ij,ij->", z - c, z - c) / len(batch)
+            theta = flat(params.layers)
+            loss = float(dist + 0.5 * config.weight_decay * np.einsum("p,p->", theta, theta))
             delta = 2.0 * (z - c) / len(batch)
             grads = kernel_gradients(params.layers, batch, delta, params.activation.slope)
             params.layers = [
