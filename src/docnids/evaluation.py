@@ -123,9 +123,12 @@ def fit_pca(train, test, model, bins):
     else:
         m = int(np.searchsorted(np.cumsum(evals) / total, PCA_VARIANCE_TARGET) + 1)
     components = evecs[:, : max(1, min(m, rank or 1))]  # (d, m), orthonormal columns
+    # contiguous: with the transposed view as the right operand, OpenBLAS
+    # runs a fold's product threaded, starting its thread pool for it
+    components_t = np.ascontiguousarray(components.T)
 
     def errors(centered):
-        residual = centered - centered @ components @ components.T
+        residual = centered - (centered @ components) @ components_t
         return (residual**2).sum(axis=1)
 
     return errors(centered), errors(np.asarray(test, dtype=np.float64) - mean)

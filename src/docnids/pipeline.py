@@ -7,11 +7,21 @@ training rows' scores; ties classify benign.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 import zlib
 from dataclasses import dataclass
+
+# CPython's builtin SHA-256, as the stdlib's random takes its SHA-512:
+# hashlib would load OpenSSL's libcrypto (about 3.5 MB of RSS) through
+# _hashlib for the one digest that score takes per run.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 import numpy as np
 
@@ -40,7 +50,7 @@ class DocModel:
 
 
 def schema_hash(columns: list[str]) -> bytes:
-    return hashlib.sha256("\x1f".join(columns).encode("utf-8")).digest()
+    return sha256("\x1f".join(columns).encode("utf-8")).digest()
 
 
 def check_contamination(contamination: float) -> None:

@@ -138,10 +138,11 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
         raise ValueError("training set is empty")
     k, n, d = stack.shape
     params = nn.init_params(config.resolve_dims(d), config.seed, config.activation)
-    # Before any fork: a BLAS product large enough to run threaded would
-    # start the BLAS library's threads in a worker, to spin while both
-    # processes train. init_center's products are blocks, which run on one
-    # thread unless the input or the first layer is wide.
+    # Before any fork. OpenBLAS stops its threads at a fork and starts them
+    # again at the next product large enough to run threaded, so threads
+    # that init_center's products start end at the fork; in a worker they
+    # would spin while both processes train. Its products are blocks,
+    # which run on one thread unless the input or the first layer is wide.
     centers = np.stack([init_center(params, x) for x in stack])
 
     def train_range(a: int, b: int):

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -1271,6 +1272,41 @@ def test_train_and_evaluate_import_no_masked_arrays(dataset_csv, tmp_path):
     assert child.stderr == ""
     code_train, code_evaluate, with_numpy, after_runs = child.stdout.split()
     assert (code_train, code_evaluate, after_runs) == ("0", "0", with_numpy)
+
+
+# Runs score (the pinned model on the pinned table) and report (the pinned
+# k-fold report) through cli.main in a fresh interpreter and prints their
+# exit codes, and whether OpenSSL's _hashlib was imported after numpy
+# alone and after the runs.
+SCORE_AND_REPORT = """
+import contextlib, io, sys
+import numpy
+with_numpy = "_hashlib" in sys.modules
+from docnids import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    score = cli.main(["score", "--model", sys.argv[1], "--input", sys.argv[2]])
+    report = cli.main(["report", "--json", sys.argv[3]])
+print(score, report, with_numpy, "_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no builtin SHA-256 module",
+)
+def test_score_and_report_import_no_openssl():
+    """``hashlib`` loads OpenSSL's libcrypto through ``_hashlib``; the
+    schema hash is taken from CPython's builtin SHA-256 instead."""
+    pinned = Path(__file__).parent / "pinned"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", SCORE_AND_REPORT,
+         *(str(pinned / name) for name in ("model.doc", "flows.csv", "evaluate-kfold.json"))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.stderr == ""
+    code_score, code_report, with_numpy, after_runs = child.stdout.split()
+    assert (code_score, code_report, after_runs) == ("0", "0", with_numpy)
 
 
 @needs_fork

@@ -398,6 +398,24 @@ class TestPcaBaseline:
         _, scores = DETECTORS["pca"](x, probe.reshape(1, -1), None, 10)
         assert scores[0] == pytest.approx(delta**2, abs=1e-10)
 
+    def test_many_components_match_the_projection(self, rng):
+        """On a 39-feature table whose variance needs 16 or more components,
+        the scores are the residual of projecting on them, to a relative
+        1e-12 (another BLAS may give other last bits)."""
+        train = rng.normal(size=(4000, 39)) * np.linspace(2.0, 0.5, 39)
+        test = rng.normal(size=(500, 39))
+        mean = train.mean(axis=0)
+        centered = train - mean
+        evals, evecs = np.linalg.eigh(centered.T @ centered / (len(train) - 1))
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+        m = int(np.searchsorted(np.cumsum(evals) / evals.sum(), 0.9) + 1)
+        comp = evecs[:, :m]
+        assert m >= 16
+        for got, x in zip(DETECTORS["pca"](train, test, None, 10), (train, test), strict=True):
+            c = x - mean
+            want = ((c - c @ comp @ comp.T) ** 2).sum(axis=1)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_eigenvalues_match_characteristic_polynomial(self):
         # 3x3 case solved independently through the characteristic polynomial
         x = np.array(

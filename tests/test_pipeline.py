@@ -1,4 +1,9 @@
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +63,39 @@ class TestFit:
     def test_hist_dimension_matches_embedding(self, small_model):
         model, _ = small_model
         assert model.hist.dim == model.svdd.params.layer_dims[-1]
+
+
+class TestSchemaHash:
+    """The schema hash is SHA-256 over the column names joined by ``\\x1f``,
+    taken from CPython's builtin module; ``hashlib`` is the oracle."""
+
+    @pytest.mark.parametrize("columns", [
+        ["Label"],
+        ["Dur", "TotBytes", "SrcPort", "Label"],
+        ["durée", "bytes→", "标签", "😀"],
+        [f"feature_{i}" for i in range(5_000)],
+    ], ids=["one", "several", "non-ascii", "long"])
+    def test_equals_hashlib(self, columns):
+        expected = hashlib.sha256("\x1f".join(columns).encode("utf-8")).digest()
+        assert pipeline.schema_hash(columns) == expected
+
+    def test_falls_back_to_hashlib_without_the_builtin_module(self):
+        """A child interpreter in which neither builtin module imports."""
+        columns = ["durée", "bytes", "Label"]
+        script = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from docnids import pipeline\n"
+            "print(pipeline.schema_hash(sys.argv[1:]).hex(), '_hashlib' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+        child = subprocess.run(
+            [sys.executable, "-c", script, *columns],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        expected = hashlib.sha256("\x1f".join(columns).encode("utf-8")).hexdigest()
+        assert child.stderr == ""
+        assert child.stdout.split() == [expected, "True"]
 
 
 class TestThresholdFromScores:
