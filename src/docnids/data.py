@@ -14,7 +14,6 @@ import functools
 import io
 import itertools
 import math
-import operator
 import os
 import stat
 import warnings
@@ -103,39 +102,54 @@ def load_csv(
 
     Bad rows are rejected; the error names their indices (0-based,
     counting data rows). Rows are read by ``read_chunks``, so the bad-row
-    rule is the one ``score`` applies.
+    rule is the one ``score`` applies. Each chunk's features and label
+    codes are written into one growing buffer each, and the categories
+    hold one ``str`` per distinct value, so the table is held about once.
     """
     drop = DEFAULT_DROP_COLUMNS if drop_columns is None else drop_columns
     with open_csv(path) as (header, rest):
         if label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not found")
         feature_idx = feature_indices(header, label_column, category_column, drop)
-        label_idx = header.index(label_column)
-        category_idx = header.index(category_column) if category_column in header else None
-        xs, label_cells, categories, bad_rows = [], [], [], []
+        # the label and category cells, counted from a row's end: a raw line
+        # is split only from the first of them on
+        tail = [header.index(label_column) - rest.width]
+        if category_column in header:
+            tail.append(header.index(category_column) - rest.width)
+        rows = np.empty((0, len(feature_idx)))
+        labels = np.empty(0, dtype=np.int64)
+        n, codes, categories, shared, bad_rows = 0, {}, [], {}, []
         for start, lines, records, x, bad in read_chunks(rest, feature_idx):
             if records is None:
                 # A raw line holds no quote or CR, so its cells are its commas' gaps.
-                good = [line[:-1].split(",") for line in lines]
+                good = [line[:-1].rsplit(",", -min(tail)) for line in lines]
             else:
-                good = [r for n, r in enumerate(records, start) if n not in bad]
-            xs.append(x)
-            label_cells += map(operator.itemgetter(label_idx), good)
-            if category_idx is not None:
-                categories += map(operator.itemgetter(category_idx), good)
+                good = [r for i, r in enumerate(records, start) if i not in bad]
+            cells = [[r[j] for r in good] for j in tail]
+            for s in set(cells[0]).difference(codes):
+                codes[s] = _parse_label(s)
+            if n + len(x) > len(rows):
+                # grown by 1/32 or more: the buffer is at most about 3% too
+                # large, and reallocations that copy (the C library may
+                # remap a large block instead) copy 33 times its size at most
+                size = max(n + len(x), len(rows) + len(rows) // 32)
+                rows.resize((size, rows.shape[1]), refcheck=False)
+                labels.resize(size, refcheck=False)
+            rows[n : n + len(x)] = x
+            labels[n : n + len(x)] = [codes[s] for s in cells[0]]
+            n += len(x)
+            if len(tail) > 1:
+                categories += map(shared.setdefault, cells[1], cells[1])
             bad_rows += bad
     if bad_rows:
         shown = ", ".join(map(str, bad_rows[:20]))
         raise DataError(f"{path}: unparseable rows at indices {shown}")
-    if not label_cells:
+    if not n:
         raise DataError(f"{path}: no data rows")
-    codes = {s: _parse_label(s) for s in set(label_cells)}
-    labels = np.fromiter(map(codes.__getitem__, label_cells), np.int64, len(label_cells))
+    rows.resize((n, rows.shape[1]), refcheck=False)
+    labels.resize(n, refcheck=False)
     return LabeledDataset(
-        [header[i] for i in feature_idx],
-        np.vstack(xs),
-        labels,
-        categories if category_idx is not None else None,
+        [header[i] for i in feature_idx], rows, labels, categories if len(tail) > 1 else None
     )
 
 
@@ -404,23 +418,30 @@ def fit_scaler(train: np.ndarray) -> ScalerParams:
     return ScalerParams(mins=mins, maxs=maxs)
 
 
-def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Affine map to [0, 1] with clamping; constant features map to 0.
-
-    ``data`` must be a finite (n, d) matrix, or DataError: ``pipeline.fit``,
-    ``pipeline.score_batch`` and ``evaluation.evaluate`` scale every row
-    here before they use it. The result goes into ``out`` if given, and
-    is scaled there in place: one array, ``data`` never written.
-    """
+def check_rows(data, width: int) -> np.ndarray:
+    """``data`` as float64, or DataError unless it is a finite (n,
+    ``width``) matrix: the rows ``apply_scaler`` takes, which
+    ``pipeline.fit`` also checks before it trains."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DataError(f"rows must be an (n, d) matrix, got shape {data.shape}")
-    if data.shape[1] != len(p.mins):
-        raise DataError(
-            f"data has {data.shape[1]} features, scaler expects {len(p.mins)}"
-        )
+    if data.shape[1] != width:
+        raise DataError(f"data has {data.shape[1]} features, scaler expects {width}")
     if not np.isfinite(data).all():
         raise DataError("rows hold a value that is not finite (NaN or infinity)")
+    return data
+
+
+def apply_scaler(p: ScalerParams, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Affine map to [0, 1] with clamping; constant features map to 0.
+
+    ``data`` must be a finite (n, d) matrix, or DataError (``check_rows``):
+    ``pipeline.fit``, ``pipeline.score_batch`` and ``evaluation.evaluate``
+    scale every row here before they use it. The result goes into ``out``
+    if given, and is scaled there in place: one array, ``data`` never
+    written unless it is ``out``.
+    """
+    data = check_rows(data, len(p.mins))
     span = p.maxs - p.mins
     safe = np.where(span > 0.0, span, 1.0)
     # a value near the float64 limit overflows to +-inf, which the clip

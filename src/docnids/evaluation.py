@@ -128,8 +128,10 @@ def fit_pca(train, test, model, bins):
     components_t = np.ascontiguousarray(components.T)
 
     def errors(centered):
-        residual = centered - (centered @ components) @ components_t
-        return (residual**2).sum(axis=1)
+        # in place, the same ufuncs as centered - ... and residual**2
+        residual = (centered @ components) @ components_t
+        np.subtract(centered, residual, out=residual)
+        return np.square(residual, out=residual).sum(axis=1)
 
     return errors(centered), errors(np.asarray(test, dtype=np.float64) - mean)
 
@@ -166,7 +168,8 @@ def _evaluate_fold(
     contamination: float,
 ) -> list[tuple[dict, float]]:
     """Fit the fold's scaler (the same bits as ``model.scaler``: a min and
-    a max are exact) and scale its rows; if the fold has a ``model``,
+    a max are exact) and scale its rows in place, so ``train_x`` and
+    ``test_x`` must be the fold's own copies; if the fold has a ``model``,
     embed the train and test rows once under its network; then fit,
     threshold and score each detector on its rows.
 
@@ -177,7 +180,7 @@ def _evaluate_fold(
     scoring. The fold's arrays live only in this call."""
     start = time.perf_counter()
     scaler = fit_scaler(train_x)
-    scaled = (apply_scaler(scaler, train_x), apply_scaler(scaler, test_x))
+    scaled = tuple(apply_scaler(scaler, x, out=x) for x in (train_x, test_x))
     scaled_at = time.perf_counter()
     embedded = None
     if model is not None:
@@ -304,9 +307,11 @@ def evaluate(
         sets = [train_idx for train_idx, _ in splits]
         models = pipeline.fit(config, ds.rows, sets, ds.columns, bins, contamination)
         share = (time.perf_counter() - start) / len(splits)
+    # float64, so that each fold's gathered rows are its own to scale in place
+    rows = np.asarray(ds.rows, dtype=np.float64)
     per_fold = [
         _evaluate_fold(
-            i, ds.rows[train_idx], ds.rows[test_idx], ds.labels[test_idx], model, share,
+            i, rows[train_idx], rows[test_idx], ds.labels[test_idx], model, share,
             detectors, bins, contamination,
         )
         for i, ((train_idx, test_idx), model) in enumerate(zip(splits, models))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
+from . import backend, nn
 
 # Applied inside the log for empty bins, which would otherwise score infinite.
 EMPTY_BIN_FLOOR = 1e-6
@@ -44,7 +44,8 @@ def fit_histograms(z: np.ndarray, k: int) -> HistogramSet:
     """Fit per-dimension histograms over each column's [min, max] range.
 
     Bins are half-open with the last bin right-inclusive. A constant
-    column degenerates to a single point-bin of height 1.0.
+    column degenerates to a single point-bin of height 1.0. The bins are
+    counted in ``nn.row_blocks``, so nothing row-sized is made.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] == 0:
@@ -53,17 +54,31 @@ def fit_histograms(z: np.ndarray, k: int) -> HistogramSet:
     d = z.shape[1]
     lo = z.min(axis=0)
     hi = z.max(axis=0)
-    idx = backend.bin_index(lo, (hi - lo) / k, k, z)
-    # one count over every column, column j's bins offset by j * k
-    counts = np.bincount((idx + k * np.arange(d)).ravel(), minlength=d * k).reshape(d, k)
+    width = (hi - lo) / k
+    # one count over every column, column j's bins offset by j * k, taken
+    # in nn.row_blocks: counts are exact, so the blocks change no bit
+    offsets = k * np.arange(d)
+    counts = np.zeros(d * k, dtype=np.int64)
+    for start, stop in nn.row_blocks(len(z)):
+        idx = backend.bin_index(lo, width, k, z[start:stop])
+        idx += offsets
+        counts += np.bincount(idx.ravel(), minlength=d * k)
+    counts = counts.reshape(d, k)
     heights = counts / counts.max(axis=1, keepdims=True)
     return HistogramSet(lo=lo, hi=hi, k=k, heights=heights)
 
 
 def hbos_score_batch(h: HistogramSet, z: np.ndarray) -> np.ndarray:
-    """Score each row of a (n, d) matrix. Out-of-range coordinates clamp
-    to the nearest edge bin; empty bins are floored at EMPTY_BIN_FLOOR."""
+    """Score each row of a (n, d) matrix, in ``nn.row_blocks``. Out-of-range
+    coordinates clamp to the nearest edge bin; empty bins are floored at
+    EMPTY_BIN_FLOOR."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != h.dim:
         raise ValueError(f"matrix has {z.shape[-1]} columns, expected {h.dim}")
-    return backend.hbos_scores(h.lo, h.widths, h.heights, z, EMPTY_BIN_FLOOR)
+    # a row's score is its own, so taking the rows in blocks changes no bit
+    widths, out = h.widths, np.empty(len(z))
+    for start, stop in nn.row_blocks(len(z)):
+        out[start:stop] = backend.hbos_scores(
+            h.lo, widths, h.heights, z[start:stop], EMPTY_BIN_FLOOR
+        )
+    return out

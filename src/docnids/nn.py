@@ -72,25 +72,34 @@ def init_params(
 BLOCK_ROWS = 256
 
 
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` blocks a whole-set pass over ``n`` rows takes,
+    in order: one below 2 * BLOCK_ROWS rows, and from there blocks of
+    BLOCK_ROWS rows, the last taking the remainder. ``forward_batch`` and
+    the histogram kernels take their rows so."""
+    if n < 2 * BLOCK_ROWS:
+        return [(0, n)]
+    starts = range(0, n - BLOCK_ROWS + 1, BLOCK_ROWS)
+    return list(zip(starts, [*starts[1:], n]))
+
+
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Map a (n, d) batch, or a (k, n, d) stack of batches, through the
-    network, preserving row order: in one pass below 2 * BLOCK_ROWS rows,
-    in blocks of rows from there."""
+    network, preserving row order, in the ``row_blocks`` of its n rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.layer_dims[0]:
         raise ValueError(f"input batch has length {x.shape[-1]}, expected {params.layer_dims[0]}")
     dims, layers, slope = params.layer_dims, params.layers, params.activation.slope
-    n = x.shape[-2] if x.ndim > 1 else 1
-    if n < 2 * BLOCK_ROWS:
+    blocks = row_blocks(x.shape[-2] if x.ndim > 1 else 1)
+    if len(blocks) == 1:
         buf = backend.PassBuffers(dims, x.shape[:-1], backward=False)
         return backend.forward_pass(layers, x, slope, buf)[-1]
-    starts = range(0, n - BLOCK_ROWS + 1, BLOCK_ROWS)
     buffers = {
         rows: backend.PassBuffers(dims, (*x.shape[:-2], rows), backward=False)
-        for rows in {BLOCK_ROWS, n - starts[-1]}
+        for rows in {stop - start for start, stop in blocks}
     }
     out = np.empty((*x.shape[:-1], dims[-1]))
-    for start, stop in zip(starts, [*starts[1:], n]):
+    for start, stop in blocks:
         acts = backend.forward_pass(layers, x[..., start:stop, :], slope, buffers[stop - start])
         out[..., start:stop, :] = acts[-1]
     return out

@@ -26,7 +26,7 @@ except ImportError:
 import numpy as np
 
 from . import hbos, svdd
-from .data import ScalerParams, apply_scaler, fit_scaler
+from .data import ScalerParams, apply_scaler, check_rows, fit_scaler
 from .errors import ModelFormatError, SchemaMismatchError
 from .hbos import HistogramSet
 from .nn import Activation, MlpParams
@@ -82,6 +82,26 @@ def threshold_from_scores(scores: np.ndarray, contamination: float) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
+class _ScaledStack:
+    """The (k, n, d) stack of ``fit``'s training sets of one length, each
+    set's rows min-max scaled by its own scaler, as ``svdd.train`` takes
+    it: ``stack[a:b]`` gathers and scales members a to b only, so that
+    each of its ranges holds only its own members."""
+
+    def __init__(self, rows: np.ndarray, sets: list[np.ndarray], scalers: list[ScalerParams]):
+        self.rows, self.sets, self.scalers = rows, sets, scalers
+        self.shape = (len(sets), len(sets[0]), rows.shape[-1])
+
+    def __getitem__(self, members: slice) -> np.ndarray:
+        sets, scalers = self.sets[members], self.scalers[members]
+        out = np.empty((len(sets), *self.shape[1:]))
+        for x, idx, scaler in zip(out, sets, scalers):
+            # "clip": fit has checked the indices, and "raise" would buffer
+            self.rows.take(idx, axis=0, out=x, mode="clip")
+            apply_scaler(scaler, x, out=x)
+        return out
+
+
 def fit(
     config: SvddConfig,
     rows: np.ndarray,
@@ -93,14 +113,15 @@ def fit(
     """Fit one detector per training set, in the order of ``train_sets``:
     one or more index arrays, of any lengths, into the raw feature ``rows``,
     as ``score_batch`` takes them. Each set's rows are min-max scaled by a
-    scaler fitted on them into the (k, n, d) stack of the sets of its
-    length, which one ``svdd.train`` call trains and which is then freed,
-    in the order the lengths first appear. Each set's histograms and
+    scaler fitted on them. The sets of each length are one (k, n, d)
+    stack, which one ``svdd.train`` call trains, in the order the lengths
+    first appear; each of its ranges of members gathers and scales its
+    own members' rows (``_ScaledStack``). Each set's histograms and
     threshold are fitted on its rows scaled again and embedded.
 
     An empty set or an index outside [0, len(rows)) is a ValueError
-    before any training; rows that are not a finite (n, d) matrix are a
-    DataError from ``apply_scaler``."""
+    before any training; so are rows that are not a finite (n, d) matrix,
+    a DataError from ``data.check_rows``."""
     check_contamination(contamination)
     hbos.check_bins(bins)
     if not train_sets:
@@ -113,21 +134,23 @@ def fit(
             raise ValueError(
                 f"training set {k} must be a non-empty array of row indices in [0, {len(rows)})"
             )
-    scalers, networks = {}, {}
+    rows = np.asarray(rows, dtype=np.float64)
+    scalers = []
+    for idx in train_sets:
+        raw = rows[idx]
+        scalers.append(fit_scaler(raw))
+        check_rows(raw, rows.shape[-1])
+    del raw  # the last set's copy, not to be held while training
+    networks = {}
     for n in dict.fromkeys(map(len, train_sets)):
         members = [i for i, idx in enumerate(train_sets) if len(idx) == n]
-        stack = np.empty((len(members), n, rows.shape[-1]))
-        for x, i in zip(stack, members):
-            raw = rows[train_sets[i]]
-            scalers[i] = fit_scaler(raw)
-            apply_scaler(scalers[i], raw, out=x)
-        # x views the stack: free both before the next stack or any embedding
-        del x, raw
+        stack = _ScaledStack(rows, [train_sets[i] for i in members], [scalers[i] for i in members])
         networks.update(zip(members, svdd.train(config, stack)))
-        del stack
     models = []
     for i, idx in enumerate(train_sets):
-        z = svdd.embed_batch(networks[i], apply_scaler(scalers[i], rows[idx]))
+        x = rows[idx]
+        z = svdd.embed_batch(networks[i], apply_scaler(scalers[i], x, out=x))
+        del x
         hist = hbos.fit_histograms(z, bins)
         scores = hbos.hbos_score_batch(hist, z)
         if not np.all(np.isfinite(scores)):

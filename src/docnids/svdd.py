@@ -106,19 +106,24 @@ class _BatchBuffers:
         self.centers = np.repeat(centers[:, None, :], nb, axis=1)
 
 
-def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
+def train(config: SvddConfig, stack) -> list[SvddModel]:
     """Run epochs of shuffled mini-batch SGD on the hypersphere objective,
-    once for each training set of a (k, n, d) stack. Its one caller is
-    ``pipeline.fit``, which makes one stack of its sets of each length:
-    k = 1 for ``train``, one fold per member for ``evaluate``.
+    once for each training set of a (k, n, d) stack. ``stack`` is an
+    array, or an object with that ``shape`` whose ``stack[a:b]`` makes
+    the array of members a to b. Its one caller, ``pipeline.fit``, passes
+    such an object for its sets of each length: k = 1 for ``train``, one
+    fold per member for ``evaluate``.
 
     Every member starts from the same weights (``config.seed``) and takes
     its batches in the same row order (``config.seed + 1``), and members
     never interact, so each member's weights, center and loss history are
     bit-equal to training it alone (see ``_sgd``).
 
-    Every member's center is computed here first; then the members are
-    trained in ``workers.ranges``, so nothing forks for k = 1.
+    Every member's center is computed here first, from ``stack[i:i + 1]``
+    one member at a time; then the members are trained in
+    ``workers.ranges``, so nothing forks for k = 1. Each range takes
+    ``stack[a:b]`` after the fork, so a process holds only its own
+    members' rows.
 
     Returns one model per member: the weights, the center and the
     per-epoch loss; the weight decay only shapes training and is not kept.
@@ -130,23 +135,28 @@ def train(config: SvddConfig, stack: np.ndarray) -> list[SvddModel]:
     a range has raised, the workers of later ranges are stopped.
     """
     config.validate()
-    # contiguous, or every batch's take would copy the whole stack
-    stack = np.ascontiguousarray(stack, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ValueError(f"expected a (k, n, d) stack of training sets, got shape {stack.shape}")
-    if stack.size == 0:
+    shape = np.shape(stack)
+    if len(shape) != 3:
+        raise ValueError(f"expected a (k, n, d) stack of training sets, got shape {shape}")
+    if 0 in shape:
         raise ValueError("training set is empty")
-    k, n, d = stack.shape
+    k, n, d = shape
     params = nn.init_params(config.resolve_dims(d), config.seed, config.activation)
-    # Before any fork. OpenBLAS stops its threads at a fork and starts them
-    # again at the next product large enough to run threaded, so threads
-    # that init_center's products start end at the fork; in a worker they
-    # would spin while both processes train. Its products are blocks,
-    # which run on one thread unless the input or the first layer is wide.
-    centers = np.stack([init_center(params, x) for x in stack])
+
+    def members(a: int, b: int) -> np.ndarray:
+        # contiguous, or every batch's take would copy the whole stack
+        return np.ascontiguousarray(stack[a:b], dtype=np.float64)
+
+    # Before any fork, a member at a time. OpenBLAS stops its threads at a
+    # fork and starts them again at the next product large enough to run
+    # threaded, so threads that init_center's products start end at the
+    # fork; in a worker they would spin while both processes train. Its
+    # products are blocks, which run on one thread unless the input or the
+    # first layer is wide.
+    centers = np.stack([init_center(params, members(i, i + 1)[0]) for i in range(k)])
 
     def train_range(a: int, b: int):
-        return _sgd(config, params, stack[a:b], centers[a:b])
+        return _sgd(config, params, members(a, b), centers[a:b])
 
     thetas, histories = [], []
     with contextlib.closing(workers.ranges(k, train_range)) as results:
@@ -256,5 +266,7 @@ def embed_batch(model: SvddModel, x: np.ndarray) -> np.ndarray:
 
 def distances_sq(z: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Squared distance of each (n, m) embedding row to the center ``c``."""
-    return ((z - c) ** 2).sum(axis=1)
+    diff = z - c
+    # in place, the same ufunc as diff**2
+    return np.square(diff, out=diff).sum(axis=1)
 

@@ -3,7 +3,9 @@ import csv
 import errno
 import io
 import os
+import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -163,6 +165,9 @@ LOAD_CASES = {
     "many_bad_rows": "a,Label\n" + "x,0\n" * 25 + "1,0\n",
     "header_line_break": 'a,"b\nc",Label\n1,2,0\n3,4,1\n',
     "ascii_separator": "a,b,Label\n\x1c1,2,0\n3,4,1\n",
+    "label_not_last": "a,Label,b\n1,0,2\n3,Exploits,4\n",
+    "label_first": "Label,a,Attack\n1,1,DoS\n0,2,Benign\n",
+    "category_before_label": "a,Attack,b,Label\n1,DoS,2,1\n3,Benign,4,0\n",
 }
 
 # Rows missing only their category cell, with load_csv's error.
@@ -224,6 +229,60 @@ class TestLoadCsvMatchesPerRowOracle:
         back = data.load_csv(p)
         assert np.array_equal(back.rows, ds.rows)
         assert back.categories == ds.categories
+
+
+class TestLoadCsvHoldsOneCopy:
+    """``load_csv`` writes each chunk into one growing buffer and keeps one
+    ``str`` per distinct category."""
+
+    def test_a_table_that_turns_to_csv_partway(self, tmp_path, monkeypatch):
+        # chunk 0 is raw lines; the quote in chunk 1 sends it and chunk 2 to csv
+        monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+        rows = [f"{i},{i}.5,{i % 2},{'DoS' if i % 2 else 'Benign'}" for i in range(11)]
+        rows[5] = '5,5.5,1,"DoS, slow"'
+        p = write_csv(tmp_path / "d.csv", "a,b,Label,Attack\n" + "".join(r + "\n" for r in rows))
+        paths = []
+        real = data._csv_chunks
+
+        def csv_chunks(rest, lines, start, feature_idx):
+            paths.append(start)
+            yield from real(rest, lines, start, feature_idx)
+
+        monkeypatch.setattr(data, "_csv_chunks", csv_chunks)
+        ds = data.load_csv(p)
+        assert paths == [4]
+        columns, expected, labels, categories = per_row_load(p)
+        assert ds.columns == columns
+        assert ds.rows.tobytes() == expected.tobytes()
+        assert ds.labels.tolist() == labels.tolist()
+        assert ds.categories == categories
+
+    def test_categories_share_one_object_per_value(self, tmp_path):
+        p = tmp_path / "d.csv"
+        data.save_csv(data.synth_generate(300, 30, 4, 0.5, seed=2), p)
+        back = data.load_csv(p)
+        assert len(back.categories) == 330
+        assert len({id(c) for c in back.categories}) == len(set(back.categories)) == 2
+
+    def test_allocates_about_its_result(self, tmp_path):
+        p = tmp_path / "d.csv"
+        data.save_csv(data.synth_generate(95_000, 5_000, 16, 0.6, seed=3), p)
+        with open(p, encoding="utf-8") as f:
+            chunk = sum(len(line) for _, line in zip(range(1 + data.CHUNK_ROWS), f))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ds = data.load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # keeping every chunk's array, then a vstack copy, next to lists of
+        # 100,000 label and category strings, peaked at 2.5 times the result
+        result = ds.rows.nbytes + ds.labels.nbytes + sys.getsizeof(ds.categories)
+        assert ds.rows.shape == (100_000, 16)
+        # the buffers' last growth step (1/32) and the text of a few chunks
+        assert peak < result + result // 32 + 10 * chunk
 
 
 def raw_lines(lines, width=3):

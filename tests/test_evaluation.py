@@ -416,6 +416,35 @@ class TestPcaBaseline:
             want = ((c - c @ comp @ comp.T) ** 2).sum(axis=1)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 511, 512, 513, 767, 4000])
+    @pytest.mark.parametrize(
+        "d, latent", [(16, 3), (39, 3), (39, None)], ids=["16_few", "39_few", "39_many"]
+    )
+    def test_errors_equal_the_one_pass_formulas(self, n, d, latent):
+        """The train and test errors are bit-equal to one pass of the
+        formulas ``(c - (c @ comp) @ comp_t) ** 2`` summed per row, with
+        fewer than 16 components and with 16 or more."""
+        rng = np.random.default_rng(n + d)
+        if latent is None:
+            train = rng.uniform(size=(n, d))
+        else:
+            train = rng.normal(size=(n, latent)) @ rng.normal(size=(latent, d))
+            train += 0.05 * rng.normal(size=(n, d))
+        test = rng.uniform(size=(n + 7, d))
+        mean = train.mean(axis=0)
+        centered = train - mean
+        evals, evecs = np.linalg.eigh(centered.T @ centered / max(n - 1, 1))
+        evals, evecs = np.clip(evals[::-1], 0.0, None), evecs[:, ::-1]
+        rank = int((evals > 1e-12 * max(evals.sum(), 1.0)).sum())
+        m = int(np.searchsorted(np.cumsum(evals) / evals.sum(), 0.9) + 1) if evals.sum() > 0 else 1
+        comp = evecs[:, : max(1, min(m, rank or 1))]
+        comp_t = np.ascontiguousarray(comp.T)
+        assert (comp.shape[1] >= 16) == (latent is None and n > 1)
+        got = DETECTORS["pca"](train, test, None, 10)
+        for errors, c in zip(got, (centered, test - mean), strict=True):
+            want = ((c - (c @ comp) @ comp_t) ** 2).sum(axis=1)
+            assert errors.tobytes() == want.tobytes()
+
     def test_eigenvalues_match_characteristic_polynomial(self):
         # 3x3 case solved independently through the characteristic polynomial
         x = np.array(

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docnids import hbos
+from docnids import backend, hbos, nn
 from docnids.hbos import EMPTY_BIN_FLOOR
 
 
@@ -154,3 +155,74 @@ class TestHbosScore:
         got = hbos.hbos_score_batch(h, queries)
         want = oracle_fit_and_score(train, queries, k)
         assert np.allclose(got, want, atol=1e-12, rtol=0)
+
+
+B = nn.BLOCK_ROWS
+SIZES = [1, B - 1, B, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B - 1, 4000]
+
+
+def one_pass_fit(z, k):
+    """``fit_histograms``' ``lo``, ``hi`` and ``heights`` by its formulas
+    over all rows at once."""
+    d = z.shape[1]
+    lo, hi = z.min(axis=0), z.max(axis=0)
+    idx = backend.bin_index(lo, (hi - lo) / k, k, z)
+    counts = np.bincount((idx + k * np.arange(d)).ravel(), minlength=d * k).reshape(d, k)
+    return lo, hi, counts / counts.max(axis=1, keepdims=True)
+
+
+class TestBlockedKernels:
+    """``fit_histograms`` and ``hbos_score_batch`` take their rows in
+    ``nn.row_blocks`` and are bit-equal to one pass over all of them: a
+    count is exact, and a row's score is its own."""
+
+    @pytest.mark.parametrize("d", [16, 39])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equal_one_pass(self, monkeypatch, n, d):
+        rng = np.random.default_rng(n + d)
+        z = rng.normal(size=(n, d))
+        z[:, 1] = 0.5  # a constant column
+        queries = rng.normal(scale=2.0, size=(n, d))  # some out of range
+        lo, hi, heights = one_pass_fit(z, 10)
+        blocks = []
+        real = backend.bin_index
+
+        def bin_index(lo, width, k, z):
+            blocks.append(len(z))
+            return real(lo, width, k, z)
+
+        monkeypatch.setattr(backend, "bin_index", bin_index)
+        h = hbos.fit_histograms(z, 10)
+        expected = [B] * (n // B - 1) + [n - (n // B - 1) * B] if n >= 2 * B else [n]
+        assert blocks == expected
+        for got, want in [(h.lo, lo), (h.hi, hi), (h.heights, heights)]:
+            assert got.tobytes() == want.tobytes()
+        blocks.clear()
+        scores = hbos.hbos_score_batch(h, queries)
+        assert blocks == expected
+        monkeypatch.undo()
+        want = backend.hbos_scores(h.lo, h.widths, h.heights, queries, EMPTY_BIN_FLOOR)
+        assert scores.tobytes() == want.tobytes()
+
+    def test_allocate_their_output_and_two_blocks(self):
+        z = np.random.default_rng(0).uniform(size=(100_000, 16))
+        h = hbos.fit_histograms(z, 10)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, f in [("fit", lambda: hbos.fit_histograms(z, 10)),
+                            ("score", lambda: hbos.hbos_score_batch(h, z))]:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = f()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # one pass over every row would hold an index array and two float
+        # arrays of the rows' shape, 38.4 MB; the largest block's hold 2B - 1
+        # rows of them
+        block = 3 * 2 * B * 16 * 8
+        assert out.nbytes == 800_000
+        assert peaks["fit"] < 2 * block
+        assert peaks["score"] < out.nbytes + 2 * block
+

@@ -313,7 +313,7 @@ class TestStackedTraining:
 
         def train(config, stack):
             models = real(config, stack)
-            trained.append((stack.copy(), models))
+            trained.append((stack[:], models))
             return models
 
         monkeypatch.setattr(svdd, "train", train)
